@@ -16,7 +16,18 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.signal
 
-from .dynamics import Liouvillian, _trace_scan, correlation, evolve
+from .dynamics import (
+    ATOL,
+    RTOL,
+    Liouvillian,
+    _propagate,
+    _sym,
+    _unvec,
+    _vec,
+    check_time_grid,
+    correlation,
+    evolve,
+)
 from .errors import UndefinedCoherenceError
 from .hilbert import (
     DensityMatrix,
@@ -294,15 +305,14 @@ def find_reference_state(
     if step <= 0 or cap <= 0:
         raise ValueError("step and cap must be positive")
 
-    prop = scipy.linalg.expm(liouvillian.matrix * step)
+    prop = liouvillian.propagator(step)
     d = liouvillian.space.total_dim
-    x = rho0.matrix.ravel(order="F")
+    x = _vec(rho0.matrix)
     t = 0.0
     rho_prev = rho0.matrix
     while True:
         x = prop @ x
-        rho_next = x.reshape((d, d), order="F")
-        rho_next = (rho_next + rho_next.conj().T) / 2.0
+        rho_next = _sym(_unvec(x, d))
         diff = float(np.abs(np.linalg.eigvalsh(rho_next - rho_prev)).sum())
         if diff < tol:
             return t, DensityMatrix(liouvillian.space, rho_prev), True
@@ -336,9 +346,7 @@ def g2(
         raise ValueError("target must be 'resonator' or 'qubit'")
     if normalization not in ("standard", "first_order"):
         raise ValueError("normalization must be 'standard' or 'first_order'")
-    taus = np.asarray(taus, dtype=float)
-    if taus.size == 0 or taus[0] != 0.0 or np.any(np.diff(taus) <= 0):
-        raise ValueError("delays must start at 0 and increase strictly")
+    taus = check_time_grid(taus)
 
     space = liouvillian.space
     if target == "resonator":
@@ -364,7 +372,8 @@ def g2(
 
     seed = op.matrix @ rho_star.matrix @ op.matrix.conj().T
     weight = op.dag() @ op
-    values = _trace_scan(liouvillian, seed, [weight], taus, method=method)[0].real
+    method, values, _, _ = _propagate(liouvillian, _vec(seed), taus, method, [weight])
+    values = values[0].real
     values[0] = np.trace(weight.matrix @ seed).real
 
     denominator = nbar**2 if normalization == "standard" else nbar
@@ -374,6 +383,7 @@ def g2(
         metadata={
             "target": target,
             "normalization": normalization,
+            "method": method,
             "t_star": t_star,
             "settled": settled,
             "reference_occupation": nbar,
@@ -385,19 +395,14 @@ def imbalance(
     liouvillian: Liouvillian,
     rho0: DensityMatrix,
     times,
-    method: str = "adaptive",
-    rtol: float | None = None,
-    atol: float | None = None,
+    method: str = "auto",
+    rtol: float = RTOL,
+    atol: float = ATOL,
 ) -> ImbalanceSeries:
-    """Per-mode photon numbers and normalized imbalance over time."""
+    """Per-mode photon numbers and normalized imbalance, propagated by ``evolve``."""
     space = liouvillian.space
     if space.n_modes != 2:
         raise ValueError("imbalance requires a two-mode space")
-    extra = {}
-    if rtol is not None:
-        extra["rtol"] = rtol
-    if atol is not None:
-        extra["atol"] = atol
     traj = evolve(
         liouvillian,
         rho0,
@@ -407,11 +412,12 @@ def imbalance(
             "n1": number_operator(space, 0),
             "n2": number_operator(space, 1),
         },
-        **extra,
+        rtol=rtol,
+        atol=atol,
     )
     n1 = traj.expectations["n1"].real
     n2 = traj.expectations["n2"].real
     return ImbalanceSeries(
         traj.times, n1, n2,
-        metadata={"method": method, "trace_drift": traj.trace_drift},
+        metadata={"method": traj.method, "trace_drift": traj.trace_drift},
     )

@@ -36,7 +36,13 @@ from .analysis import (
     power_spectrum,
     spectrum_peaks,
 )
-from .config import ConfigError, RunConfig, config_from_mapping, load_config
+from .config import (
+    ConfigError,
+    RunConfig,
+    config_from_mapping,
+    load_config,
+    parse_initial_state,
+)
 from .dynamics import build_liouvillian, steady_state
 from .errors import JTCQEDError
 from .hilbert import DensityMatrix, SpaceSpec, basis_ket
@@ -99,16 +105,8 @@ def _space(cfg: RunConfig) -> SpaceSpec:
 
 
 def _initial_state(cfg: RunConfig, space: SpaceSpec) -> DensityMatrix:
-    parts = [p.strip() for p in cfg.initial_state.split(",")]
-    if len(parts) != 3:
-        raise ConfigError("initial_state must be 'n1,n2,q' with q one of e/g")
-    try:
-        n1, n2 = int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise ConfigError(f"bad initial_state occupations: {exc}") from exc
-    if parts[2] not in ("e", "g"):
-        raise ConfigError("initial_state qubit level must be 'e' or 'g'")
-    ket = basis_ket(space, [n1, n2], [parts[2]])
+    n1, n2, qubit = parse_initial_state(cfg.initial_state, cfg.fock_dims)
+    ket = basis_ket(space, [n1, n2], [qubit])
     return DensityMatrix.from_pure(space, ket)
 
 
@@ -187,6 +185,7 @@ def _run_g2(cfg: RunConfig) -> tuple[list[str], list, dict]:
     notes = {
         "t_star": 0.0,
         "reference_policy": "initial_state",
+        "method": series_r.metadata["method"],
         "normalization": cfg.g2_normalization,
         "reference_occupation_resonator": series_r.metadata["reference_occupation"],
         "reference_occupation_qubit": series_q.metadata["reference_occupation"],
@@ -204,6 +203,7 @@ def _run_imbalance(cfg: RunConfig) -> tuple[list[str], list, dict]:
     tail = series.z[int(0.8 * series.z.size):]
     tail = tail[np.isfinite(tail)]
     notes = {
+        "method": series.metadata["method"],
         "trace_drift": series.metadata["trace_drift"],
         "long_window_fraction": 0.2,
         "z_long_mean": float(tail.mean()) if tail.size else None,

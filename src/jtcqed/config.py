@@ -11,7 +11,6 @@ A config file has four nested sections mirroring the run layout::
     j_override =                ; optional, blank means "tied to delta/2"
     include_quadratic = true
     fock_dims = 2, 2
-    obrien_normalization = false
 
     [dissipation]
     kappa1 = 0.001
@@ -24,16 +23,19 @@ A config file has four nested sections mirroring the run layout::
     tau_max = 10000
     n_samples = 16384
     times = 0:3000:601          ; grid shorthand start:stop:count, or a list
-    tolerances = 1e-8, 1e-10
+    tolerances = 1e-8, 1e-10    ; rtol, atol of imbalance's adaptive path only
     correlation_ordering = emission
     g2_normalization = standard
-    initial_state = 1,0,e
+    initial_state = 1,0,e       ; n1,n2,q with q one of e/g, inside fock_dims
 
     [output]
     path = out/run.csv
     precision = 12
 
-Unknown sections or keys are usage errors, as are missing required fields.
+Unknown sections or keys are usage errors, as are missing required fields and
+values the run could not use (a non-power-of-two ``n_samples``, a ``times``
+grid that does not start at 0 and increase strictly, an initial state outside
+the truncation).
 """
 
 from __future__ import annotations
@@ -44,15 +46,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DissipationParams
+from .dynamics import DissipationParams, check_time_grid
 
-__all__ = ["ConfigError", "RunConfig", "load_config", "config_from_mapping"]
+__all__ = [
+    "ConfigError",
+    "RunConfig",
+    "load_config",
+    "config_from_mapping",
+    "parse_initial_state",
+]
 
 TASKS = ("eigenscan", "spectrum", "g2", "imbalance")
 
 _MODEL_KEYS = {
-    "k", "delta", "delta_grid", "j_override", "include_quadratic",
-    "fock_dims", "obrien_normalization",
+    "k", "delta", "delta_grid", "j_override", "include_quadratic", "fock_dims",
 }
 _DISSIPATION_KEYS = {"kappa1", "kappa2", "gamma", "gamma_phi", "n_th"}
 _NUMERICS_KEYS = {
@@ -75,7 +82,6 @@ class RunConfig:
     j_override: float | None
     include_quadratic: bool
     fock_dims: tuple[int, ...]
-    obrien_normalization: bool
     dissipation: DissipationParams
     tau_max: float
     n_samples: int
@@ -99,7 +105,6 @@ class RunConfig:
                 "j_override": self.j_override,
                 "include_quadratic": self.include_quadratic,
                 "fock_dims": list(self.fock_dims),
-                "obrien_normalization": self.obrien_normalization,
             },
             "dissipation": {
                 "kappa1": self.dissipation.kappa1,
@@ -188,6 +193,21 @@ def _as_bool(section, key, default):
     raise ConfigError(f"{key} must be a boolean, got {value!r}")
 
 
+def parse_initial_state(text: str, fock_dims: tuple[int, ...]) -> tuple[int, int, str]:
+    """'n1,n2,q' -> (n1, n2, q): occupations inside the truncation, q one of e/g."""
+    parts = [p.strip() for p in str(text).split(",")]
+    if len(parts) != 3 or parts[2] not in ("e", "g"):
+        raise ConfigError("initial_state must be 'n1,n2,q' with q one of e/g")
+    try:
+        n1, n2 = int(parts[0]), int(parts[1])
+    except ValueError as exc:
+        raise ConfigError(f"bad initial_state occupations: {exc}") from exc
+    for n, dim in zip((n1, n2), fock_dims):
+        if not 0 <= n < dim:
+            raise ConfigError(f"initial_state occupation {n} outside truncation {dim}")
+    return n1, n2, parts[2]
+
+
 def config_from_mapping(mapping: dict) -> RunConfig:
     """Build and validate a RunConfig from a nested dict (sections -> keys)."""
     known_sections = {"run", "model", "dissipation", "numerics", "output"}
@@ -255,7 +275,6 @@ def config_from_mapping(mapping: dict) -> RunConfig:
 
     j_override = _as_float(model, "j_override")
     include_quadratic = _as_bool(model, "include_quadratic", True)
-    obrien = _as_bool(model, "obrien_normalization", False)
 
     try:
         diss = DissipationParams(
@@ -270,6 +289,8 @@ def config_from_mapping(mapping: dict) -> RunConfig:
 
     tau_max = _as_float(numerics, "tau_max", 1000.0)
     n_samples = _as_int(numerics, "n_samples", 4096)
+    if n_samples < 4 or n_samples & (n_samples - 1):
+        raise ConfigError("n_samples must be a power of two (>= 4)")
     times_raw = _get(numerics, "times")
     times = None
     if times_raw is not None:
@@ -278,6 +299,10 @@ def config_from_mapping(mapping: dict) -> RunConfig:
             if not isinstance(times_raw, str)
             else _parse_grid(times_raw, "times")
         )
+        try:
+            times = check_time_grid(times)
+        except ValueError as exc:
+            raise ConfigError(f"times: {exc}") from exc
     if task in ("imbalance", "g2") and times is None:
         raise ConfigError(f"{task} requires a times grid")
 
@@ -290,7 +315,12 @@ def config_from_mapping(mapping: dict) -> RunConfig:
             parts = list(tol_raw)
         if len(parts) != 2:
             raise ConfigError("tolerances must be 'rtol, atol'")
-        rtol, atol = float(parts[0]), float(parts[1])
+        try:
+            rtol, atol = float(parts[0]), float(parts[1])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"tolerances must be numbers: {exc}") from exc
+        if not (rtol > 0 and atol > 0 and math.isfinite(rtol) and math.isfinite(atol)):
+            raise ConfigError("tolerances must be positive and finite")
 
     ordering = _get(numerics, "correlation_ordering", "emission")
     if ordering not in ("emission", "as_printed"):
@@ -299,6 +329,7 @@ def config_from_mapping(mapping: dict) -> RunConfig:
     if g2_norm not in ("standard", "first_order"):
         raise ConfigError("g2_normalization must be standard or first_order")
     initial_state = _get(numerics, "initial_state", "1,0,e")
+    parse_initial_state(initial_state, fock_dims)
 
     path = _get(output, "path")
     if not path:
@@ -320,7 +351,6 @@ def config_from_mapping(mapping: dict) -> RunConfig:
         j_override=j_override,
         include_quadratic=include_quadratic,
         fock_dims=fock_dims,
-        obrien_normalization=obrien,
         dissipation=diss,
         tau_max=tau_max,
         n_samples=n_samples,

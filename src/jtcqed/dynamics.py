@@ -6,7 +6,8 @@ The Liouvillian is represented two ways at once:
   cheap matrix-shaped right-hand side for adaptive integration, and
 * as a dense superoperator of side ``total_dim**2`` in column-major
   vectorization, materialized lazily, which powers the matrix-exponential
-  propagation path, steady-state kernel solves and exactness oracles.
+  propagation path (one propagator per step size, kept between calls),
+  steady-state kernel solves and exactness oracles.
 
 Both propagation paths integrate the same generator; they are cross-checked
 against each other in the test suite.
@@ -36,6 +37,7 @@ __all__ = [
     "Trajectory",
     "build_liouvillian",
     "liouvillian_from_operators",
+    "check_time_grid",
     "evolve",
     "steady_state",
     "correlation",
@@ -45,11 +47,13 @@ __all__ = [
 RTOL = 1e-8
 ATOL = 1e-10
 
-# Largest superoperator side for which the steady-state solver performs an
-# exact singular-value kernel-dimension check; larger systems fall back to
-# the solve-and-residual route (degenerate kernels still surface as singular
-# or inconsistent solves).
-KERNEL_SVD_MAX_SIDE = 2704
+# Largest superoperator side for dense O(n^3) superoperator work by default:
+# the steady-state solver's exact singular-value kernel-dimension check and
+# exponential stepping of states under ``evolve(method="auto")``. Larger
+# systems fall back to the solve-and-residual route (degenerate kernels still
+# surface as singular or inconsistent solves) and to adaptive integration,
+# the only path whose memory fits there.
+DENSE_MAX_SIDE = 2704
 
 STEADY_RESIDUAL_TOL = 1e-10
 STATIONARITY_TOL = 1e-8
@@ -106,6 +110,7 @@ class Liouvillian:
         self._cs = [c.matrix for c in self.collapse_ops]
         self._cdcs = [c.conj().T @ c for c in self._cs]
         self._matrix: np.ndarray | None = None
+        self._propagator: tuple[float, np.ndarray] | None = None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -129,9 +134,14 @@ class Liouvillian:
             out -= 0.5 * (cdc @ mat + mat @ cdc)
         return out
 
-    def apply_vec(self, v: np.ndarray) -> np.ndarray:
-        d = self.space.total_dim
-        return _vec(self.apply(_unvec(v, d)))
+    def propagator(self, dt: float) -> np.ndarray:
+        """expm(L dt); the propagator of the last step size asked for is kept."""
+        if self._propagator is None or self._propagator[0] != dt:
+            self._propagator = None  # release the old slot before building
+            prop = scipy.linalg.expm(self.matrix * dt)
+            prop.setflags(write=False)
+            self._propagator = (dt, prop)
+        return self._propagator[1]
 
     def stationarity_residual(self, rho: DensityMatrix) -> float:
         return float(np.abs(self.apply(rho.matrix)).max())
@@ -194,7 +204,8 @@ class Trajectory:
 
     Either the full state at every requested time (``states``) or expectation
     records for pre-registered observables (``expectations``) are stored; the
-    final state is always available.
+    final state is always available. ``method`` is the propagation path
+    taken, "expm" or "adaptive".
     """
 
     times: np.ndarray
@@ -205,13 +216,18 @@ class Trajectory:
     method: str = "adaptive"
 
 
-def _check_times(times: np.ndarray):
-    if times.ndim != 1 or times.size < 1:
-        raise ValueError("times must be a nonempty 1-d array")
-    if times[0] != 0.0:
-        raise ValueError("time grid must start at 0")
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("times must be strictly increasing")
+def check_time_grid(times) -> np.ndarray:
+    """A propagation or delay grid as a float array, checked.
+
+    A grid is a nonempty 1-d array of finite times that starts at 0 and
+    increases strictly.
+    """
+    grid = np.asarray(times, dtype=float)
+    if grid.ndim != 1 or grid.size < 1:
+        raise ValueError("time grid must be a nonempty 1-d array")
+    if not np.all(np.isfinite(grid)) or grid[0] != 0.0 or np.any(np.diff(grid) <= 0):
+        raise ValueError("time grid must be finite, start at 0 and increase strictly")
+    return grid
 
 
 def _is_uniform(grid: np.ndarray) -> bool:
@@ -222,7 +238,7 @@ def _is_uniform(grid: np.ndarray) -> bool:
 
 
 def _expm_scan(
-    lmat: np.ndarray,
+    liouvillian: Liouvillian,
     x0: np.ndarray,
     n_steps: int,
     dt: float,
@@ -237,20 +253,18 @@ def _expm_scan(
     x(k dt) when requested. Steps are taken in blocks so the work is done by
     matrix-matrix products rather than a long chain of matrix-vector ones.
     """
-    n = x0.size
-    n_points = n_steps + 1
     values = None
     if weight_rows is not None:
-        values = np.empty((weight_rows.shape[0], n_points), dtype=complex)
+        values = np.empty((weight_rows.shape[0], n_steps + 1), dtype=complex)
         values[:, 0] = weight_rows @ x0
     states = [x0.copy()] if keep_states else None
 
     if n_steps == 0:
         return values, states, x0.copy()
 
-    prop = scipy.linalg.expm(lmat * dt)
+    prop = liouvillian.propagator(dt)
     m = min(block, n_steps)
-    cols = np.empty((n, m), dtype=complex)
+    cols = np.empty((x0.size, m), dtype=complex)
     x = x0
     for j in range(m):
         x = prop @ x
@@ -284,8 +298,9 @@ def _adaptive_scan(
     atol: float,
 ) -> np.ndarray:
     """Adaptive integration of dx/dt = L x; returns x at each requested time."""
+    d = liouvillian.space.total_dim
     sol = scipy.integrate.solve_ivp(
-        lambda _t, y: liouvillian.apply_vec(y),
+        lambda _t, y: _vec(liouvillian.apply(_unvec(y, d))),
         (times[0], times[-1]),
         x0,
         method="DOP853",
@@ -301,87 +316,101 @@ def _adaptive_scan(
     return sol.y
 
 
+def _propagate(
+    liouvillian: Liouvillian,
+    x0: np.ndarray,
+    times: np.ndarray,
+    method: str = "auto",
+    weight_ops: Sequence[QOperator] | None = None,
+    keep_states: bool = False,
+    rtol: float = RTOL,
+    atol: float = ATOL,
+):
+    """Propagate the vectorized state x0 over a checked time grid.
+
+    ``method="auto"`` takes exponential stepping on uniform grids of at
+    least 3 points, adaptive integration otherwise. Returns the resolved
+    method, tr(weight_ops[r] x(times[k])) as ``values[r, k]`` (or None),
+    every x(t) when ``keep_states`` (or None), and x at the last time.
+    """
+    if method == "auto":
+        method = "expm" if times.size >= 3 and _is_uniform(times) else "adaptive"
+    weight_rows = None
+    if weight_ops:
+        for op in weight_ops:
+            if op.space != liouvillian.space:
+                raise ValueError("weight operator lives on a different space")
+        weight_rows = np.stack([_vec(np.ascontiguousarray(op.matrix.T)) for op in weight_ops])
+
+    if method == "expm":
+        if not _is_uniform(times):
+            raise ValueError("expm propagation requires a uniform time grid")
+        dt = float(times[1] - times[0]) if times.size > 1 else 0.0
+        values, columns, x_final = _expm_scan(
+            liouvillian, x0, times.size - 1, dt,
+            weight_rows=weight_rows, keep_states=keep_states,
+        )
+    elif method == "adaptive":
+        y = _adaptive_scan(liouvillian, x0, times, rtol, atol)
+        values = weight_rows @ y if weight_rows is not None else None
+        columns = list(y.T) if keep_states else None
+        x_final = y[:, -1]
+    else:
+        raise ValueError(f"unknown propagation method {method!r}")
+    return method, values, columns, x_final
+
+
 def evolve(
     liouvillian: Liouvillian,
     rho0: DensityMatrix,
     times,
-    method: str = "adaptive",
+    method: str = "auto",
     observables: dict[str, QOperator] | None = None,
     rtol: float = RTOL,
     atol: float = ATOL,
 ) -> Trajectory:
     """Propagate a density matrix over the requested times.
 
-    ``method="adaptive"`` integrates with the fixed tolerance contract;
-    ``method="expm"`` steps with the exact matrix exponential and requires a
-    uniform grid. With ``observables`` given (name -> operator), expectation
+    ``method="auto"`` resolves to exact exponential stepping ("expm") on
+    uniform grids of at least 3 points up to superoperator side
+    ``DENSE_MAX_SIDE`` and to adaptive integration at the tolerance contract
+    ``rtol``/``atol`` otherwise; the path taken is recorded on the
+    trajectory. With ``observables`` given (name -> operator), expectation
     records are stored instead of per-time states.
     """
     if rho0.space != liouvillian.space:
         raise ValueError("initial state lives on a different space")
-    times = np.asarray(times, dtype=float)
-    _check_times(times)
+    times = check_time_grid(times)
     d = liouvillian.space.total_dim
     x0 = _vec(np.asarray(rho0.matrix))
+    if method == "auto" and x0.size > DENSE_MAX_SIDE:
+        method = "adaptive"
     keep_states = observables is None
-
-    weight_rows = None
-    names: list[str] = []
-    if observables is not None:
-        names = list(observables)
-        weight_rows = np.empty((len(names), d * d), dtype=complex)
-        for r, name in enumerate(names):
-            op = observables[name]
-            if op.space != liouvillian.space:
-                raise ValueError(f"observable {name!r} lives on a different space")
-            weight_rows[r] = _vec(np.ascontiguousarray(op.matrix.T))
-
-    if method == "expm":
-        if not _is_uniform(times):
-            raise ValueError("expm propagation requires a uniform time grid")
-        dt = float(times[1] - times[0]) if times.size > 1 else 0.0
-        values, cols, x_final = _expm_scan(
-            liouvillian.matrix, x0, times.size - 1, dt,
-            weight_rows=weight_rows, keep_states=keep_states,
-        )
-        columns = cols if keep_states else None
-    elif method == "adaptive":
-        y = _adaptive_scan(liouvillian, x0, times, rtol, atol)
-        values = weight_rows @ y if weight_rows is not None else None
-        columns = [y[:, k] for k in range(times.size)] if keep_states else None
-        x_final = y[:, -1]
-    else:
-        raise ValueError(f"unknown propagation method {method!r}")
+    names = list(observables or ())
+    method, values, columns, x_final = _propagate(
+        liouvillian, x0, times, method,
+        weight_ops=[observables[name] for name in names],
+        keep_states=keep_states, rtol=rtol, atol=atol,
+    )
 
     trace_row = _vec(np.eye(d, dtype=complex))
-    if columns is not None:
-        traces = np.array([trace_row @ c for c in columns])
-    else:
-        traces = np.array([trace_row @ x0, trace_row @ x_final])
-    trace_drift = float(np.abs(traces - 1.0).max())
+    checked = columns if columns is not None else (x0, x_final)
+    trace_drift = float(np.abs(np.array([trace_row @ c for c in checked]) - 1.0).max())
     if trace_drift > 1e-8:
         raise ValidationError(f"trace drift {trace_drift:.3e} exceeds 1e-8")
 
-    space = liouvillian.space
-    states = None
-    if keep_states:
-        states = [
-            DensityMatrix(space, _sym(_unvec(c, d)), min_eig_floor=PROPAGATED_MIN_EIG)
-            for c in columns
-        ]
-        final_state = states[-1]
-    else:
-        final_state = DensityMatrix(
-            space, _sym(_unvec(x_final, d)), min_eig_floor=PROPAGATED_MIN_EIG
+    def state(x):
+        return DensityMatrix(
+            liouvillian.space, _sym(_unvec(x, d)), min_eig_floor=PROPAGATED_MIN_EIG
         )
 
+    states = [state(c) for c in columns] if keep_states else None
     expectations = None
     if observables is not None:
         expectations = {name: values[r].copy() for r, name in enumerate(names)}
-
     return Trajectory(
         times=times,
-        final_state=final_state,
+        final_state=states[-1] if keep_states else state(x_final),
         states=states,
         expectations=expectations,
         trace_drift=trace_drift,
@@ -409,7 +438,7 @@ def steady_state(liouvillian: Liouvillian, kernel_check: str = "auto") -> Densit
 
     if kernel_check not in ("auto", "always", "never"):
         raise ValueError("kernel_check must be 'auto', 'always' or 'never'")
-    do_svd = kernel_check == "always" or (kernel_check == "auto" and n <= KERNEL_SVD_MAX_SIDE)
+    do_svd = kernel_check == "always" or (kernel_check == "auto" and n <= DENSE_MAX_SIDE)
     if do_svd:
         sv = np.linalg.svd(lmat, compute_uv=False)
         tol = max(sv[0], 1.0) * n * np.finfo(float).eps
@@ -449,41 +478,6 @@ def steady_state(liouvillian: Liouvillian, kernel_check: str = "auto") -> Densit
     return DensityMatrix(liouvillian.space, rho)
 
 
-def _trace_scan(
-    liouvillian: Liouvillian,
-    seed: np.ndarray,
-    weight_ops: Sequence[QOperator],
-    taus: np.ndarray,
-    method: str = "auto",
-    rtol: float = RTOL,
-    atol: float = ATOL,
-) -> np.ndarray:
-    """tr(W_r exp(L tau) seed) for each weight operator and delay.
-
-    The regression kernel shared by field correlations and second-order
-    coherence. ``method="auto"`` picks exponential stepping on uniform grids
-    and adaptive integration otherwise.
-    """
-    d = liouvillian.space.total_dim
-    x0 = _vec(np.asarray(seed, dtype=complex))
-    weight_rows = np.stack([_vec(np.ascontiguousarray(w.matrix.T)) for w in weight_ops])
-    if method == "auto":
-        method = "expm" if _is_uniform(taus) and taus.size > 2 else "adaptive"
-    if method == "expm":
-        if not _is_uniform(taus):
-            raise ValueError("expm propagation requires a uniform delay grid")
-        dt = float(taus[1] - taus[0]) if taus.size > 1 else 0.0
-        values, _, _ = _expm_scan(
-            liouvillian.matrix, x0, taus.size - 1, dt, weight_rows=weight_rows
-        )
-    elif method == "adaptive":
-        y = _adaptive_scan(liouvillian, x0, taus, rtol, atol)
-        values = weight_rows @ y
-    else:
-        raise ValueError(f"unknown propagation method {method!r}")
-    return values
-
-
 def correlation(
     liouvillian: Liouvillian,
     rho_ss: DensityMatrix,
@@ -508,13 +502,11 @@ def correlation(
         raise NonStationaryStateError(
             f"state is not stationary (residual {residual:.3e} > {STATIONARITY_TOL})"
         )
-    taus = np.asarray(taus, dtype=float)
-    if taus.size == 0 or taus[0] != 0.0 or np.any(np.diff(taus) <= 0):
-        raise ValueError("delays must start at 0 and increase strictly")
+    taus = check_time_grid(taus)
 
     seed = b_op.matrix @ rho_ss.matrix
-    values = _trace_scan(liouvillian, seed, [a_op], taus, method=method)[0]
-    values = np.array(values, dtype=complex)
+    method, values, _, _ = _propagate(liouvillian, _vec(seed), taus, method, [a_op])
+    values = np.array(values[0], dtype=complex)
     values[0] = np.trace(a_op.matrix @ seed)
     return CorrelationSeries(
         taus,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from jtcqed import (
     DensityMatrix,
@@ -185,6 +186,21 @@ class TestG2:
         with pytest.raises(UndefinedCoherenceError):
             g2(liou, rho0, taus=np.array([0.0, 1.0]), reference=(0.0, rho0))
 
+    def test_one_propagator_per_grid(self, monkeypatch):
+        h = build_dimensionless_hamiltonian(SMALL, 0.1, 0.2)
+        liou = build_liouvillian(h, DissipationParams())
+        rho0 = DensityMatrix.from_pure(SMALL, basis_ket(SMALL, [1, 0], ["e"]))
+        calls = []
+        expm = scipy.linalg.expm
+        monkeypatch.setattr(scipy.linalg, "expm", lambda m: calls.append(1) or expm(m))
+        taus = np.linspace(0.0, 50.0, 11)
+        runs = [
+            g2(liou, rho0, target=target, taus=taus, reference=(0.0, rho0))
+            for target in ("resonator", "qubit")
+        ]
+        assert len(calls) == 1
+        assert [series.metadata["method"] for series in runs] == ["expm", "expm"]
+
     def test_settle_search_converges(self):
         space, liou = thermal_cavity(kappa=0.05)
         rho0 = DensityMatrix.from_pure(space, basis_ket(space, [2], []))
@@ -216,8 +232,19 @@ class TestImbalance:
         liou = build_liouvillian(h, DissipationParams())
         ket = basis_ket(space, [1, 0], ["g"]) + basis_ket(space, [0, 1], ["g"])
         rho0 = DensityMatrix.from_pure(space, ket)
-        series = imbalance(liou, rho0, np.linspace(0.0, 50.0, 26))
-        assert np.nanmax(np.abs(series.z)) <= 1e-8
+        for method in ("adaptive", "expm"):
+            series = imbalance(liou, rho0, np.linspace(0.0, 50.0, 26), method=method)
+            assert series.metadata["method"] == method
+            assert np.nanmax(np.abs(series.z)) <= 1e-8
+
+    def test_records_resolved_method(self):
+        space, liou = self.build()
+        rho0 = DensityMatrix.from_pure(space, basis_ket(space, [1, 0], ["e"]))
+        uniform = imbalance(liou, rho0, np.linspace(0.0, 10.0, 6))
+        assert uniform.metadata["method"] == "expm"
+        uneven = imbalance(liou, rho0, [0.0, 1.0, 4.0, 10.0])
+        assert uneven.metadata["method"] == "adaptive"
+        assert np.abs(uneven.z[-1] - uniform.z[-1]) <= 1e-7
 
     def test_vacuum_points_are_missing(self):
         space = SpaceSpec((3, 3), 1)
@@ -231,9 +258,11 @@ class TestImbalance:
     def test_bounds_and_total(self):
         space, liou = self.build(k=0.2, delta=0.5)
         rho0 = DensityMatrix.from_pure(space, basis_ket(space, [2, 0], ["e"]))
-        series = imbalance(liou, rho0, np.linspace(0.0, 100.0, 51))
-        finite = series.z[np.isfinite(series.z)]
-        assert np.abs(finite).max() <= 1.0
-        assert series.n1.min() >= -1e-10
-        assert series.n2.min() >= -1e-10
-        assert np.allclose(series.n_total, series.n1 + series.n2)
+        for method in ("adaptive", "expm"):
+            series = imbalance(liou, rho0, np.linspace(0.0, 100.0, 51), method=method)
+            assert series.metadata["method"] == method
+            finite = series.z[np.isfinite(series.z)]
+            assert np.abs(finite).max() <= 1.0
+            assert series.n1.min() >= -1e-10
+            assert series.n2.min() >= -1e-10
+            assert np.allclose(series.n_total, series.n1 + series.n2)

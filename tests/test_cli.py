@@ -184,6 +184,38 @@ class TestConfigErrors:
     def test_unknown_preset(self, capsys):
         assert main(["preset", "fig9z"]) == 2
 
+    @pytest.mark.parametrize(
+        "task, section, key, value",
+        [
+            ("spectrum", "numerics", "n_samples", "1000"),
+            ("imbalance", "numerics", "tolerances", "abc, 1e-10"),
+            ("imbalance", "numerics", "initial_state", "7,0,e"),
+            ("imbalance", "numerics", "times", "1:10:3"),
+            ("g2", "numerics", "times", "1:10:3"),
+            ("eigenscan", "model", "obrien_normalization", "true"),
+        ],
+    )
+    def test_unusable_value_is_usage_error(self, tmp_path, capsys, task, section, key, value):
+        out = tmp_path / "out.csv"
+        scalar = ("delta_grid", "-0.5:0.5:3") if task == "eigenscan" else ("delta", "0.0")
+        sections = {
+            "run": {"task": task},
+            "model": {"k": "0.1", scalar[0]: scalar[1], "fock_dims": "2, 2"},
+            "numerics": {"times": "0:10:3"},
+            "output": {"path": str(out)},
+        }
+        sections[section][key] = value
+        body = "".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) + "\n"
+            for name, keys in sections.items()
+        )
+        cfg = write_config(tmp_path / "bad.ini", body)
+        assert main(["run", cfg]) == 2
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"] == "config"
+        assert key in report["message"]
+        assert not out.exists()
+
 
 class TestTaskRuns:
     def test_imbalance_run(self, tmp_path):
@@ -215,6 +247,7 @@ class TestTaskRuns:
         assert first[3] == pytest.approx(1.0, abs=1e-8)
         manifest = json.loads((tmp_path / "imb.manifest.json").read_text())
         assert "z_long_mean" in manifest["notes"]
+        assert manifest["notes"]["method"] == "expm"
 
     def test_imbalance_missing_values_are_empty_fields(self, tmp_path):
         out = tmp_path / "imb.csv"
@@ -277,6 +310,46 @@ class TestTaskRuns:
         manifest = json.loads((tmp_path / "g2.manifest.json").read_text())
         assert manifest["notes"]["t_star"] == 0.0
         assert manifest["notes"]["reference_policy"] == "initial_state"
+        assert manifest["notes"]["method"] == "expm"
+
+    @pytest.mark.parametrize(
+        "task, times, method, honoured",
+        [
+            ("imbalance", "0, 1, 3, 7", "adaptive", True),
+            ("imbalance", "0:6:4", "expm", False),
+            ("g2", "0, 1, 3, 7", "adaptive", False),  # fixed 1e-8 / 1e-10 contract
+        ],
+    )
+    def test_tolerances_scope(self, tmp_path, task, times, method, honoured):
+        # `tolerances` reaches only the imbalance task's adaptive path
+        csvs = []
+        for label, tolerances in (("default", ""), ("loose", "tolerances = 1e-5, 1e-7")):
+            out = tmp_path / f"{label}.csv"
+            cfg = write_config(
+                tmp_path / f"{label}.ini",
+                f"""
+                [run]
+                task = {task}
+
+                [model]
+                k = 0.1
+                delta = 0.2
+                fock_dims = 2, 2
+
+                [numerics]
+                times = {times}
+                initial_state = 1,0,e
+                {tolerances}
+
+                [output]
+                path = {out}
+                """,
+            )
+            assert main(["run", cfg]) == 0
+            manifest = json.loads((tmp_path / f"{label}.manifest.json").read_text())
+            assert manifest["notes"]["method"] == method
+            csvs.append(out.read_text())
+        assert (csvs[0] != csvs[1]) == honoured
 
     def test_g2_undefined_coherence_is_numerical_error(self, tmp_path, capsys):
         cfg = write_config(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from jtcqed import dynamics
 from jtcqed import (
     DegenerateSteadyStateError,
     DensityMatrix,
@@ -80,18 +81,22 @@ class TestEvolve:
         diss = DissipationParams(kappa1=0.0, kappa2=0.0, gamma=0.0, gamma_phi=0.0, n_th=0.0)
         liou = build_liouvillian(h, diss)
         rho0 = DensityMatrix.from_pure(SMALL, basis_ket(SMALL, [1, 0], ["e"]))
-        traj = evolve(liou, rho0, np.linspace(0.0, 20.0, 11))
-        purities = [s.purity() for s in traj.states]
-        assert np.abs(np.array(purities) - 1.0).max() <= 1e-8
+        for method in ("adaptive", "expm"):
+            traj = evolve(liou, rho0, np.linspace(0.0, 20.0, 11), method=method)
+            assert traj.method == method
+            purities = [s.purity() for s in traj.states]
+            assert np.abs(np.array(purities) - 1.0).max() <= 1e-8
 
     def test_trace_preserved(self, rng):
         h = build_dimensionless_hamiltonian(SMALL, 0.3, 0.5)
         liou = build_liouvillian(h, DissipationParams(kappa1=0.02, kappa2=0.02))
         rho0 = random_density(SMALL, rng)
-        traj = evolve(liou, rho0, np.linspace(0.0, 50.0, 26))
-        assert traj.trace_drift <= 1e-8
-        for state in traj.states:
-            assert abs(np.trace(state.matrix) - 1.0) <= 1e-9
+        for method in ("adaptive", "expm"):
+            traj = evolve(liou, rho0, np.linspace(0.0, 50.0, 26), method=method)
+            assert traj.method == method
+            assert traj.trace_drift <= 1e-8
+            for state in traj.states:
+                assert abs(np.trace(state.matrix) - 1.0) <= 1e-9
 
     def test_matches_exponential_oracle(self, rng):
         # Oracle: one-shot expm(L t) on the vectorized state at each time,
@@ -100,7 +105,7 @@ class TestEvolve:
         liou = build_liouvillian(h, DissipationParams(kappa1=0.01, kappa2=0.02, gamma=0.01))
         rho0 = DensityMatrix.from_pure(SMALL, basis_ket(SMALL, [1, 0], ["e"]))
         times = np.linspace(0.0, 40.0, 9)
-        traj = evolve(liou, rho0, times)
+        traj = evolve(liou, rho0, times, method="adaptive")
         vec0 = rho0.matrix.ravel(order="F")
         for t, state in zip(times, traj.states):
             oracle = (scipy.linalg.expm(liou.matrix * t) @ vec0).reshape((8, 8), order="F")
@@ -120,12 +125,16 @@ class TestEvolve:
         space, liou = thermal_cavity(kappa=0.05)
         rho0 = DensityMatrix.from_pure(space, basis_ket(space, [2], []))
         times = np.linspace(0.0, 100.0, 21)
-        traj = evolve(liou, rho0, times, observables={"n": number_operator(space, 0)})
-        assert traj.states is None
-        n = traj.expectations["n"].real
-        assert n[0] == pytest.approx(2.0, abs=1e-9)
-        assert n[-1] < n[0]  # relaxing toward the thermal value
-        assert traj.final_state.space == space
+        for method in ("adaptive", "expm"):
+            traj = evolve(
+                liou, rho0, times, method=method, observables={"n": number_operator(space, 0)}
+            )
+            assert traj.method == method
+            assert traj.states is None
+            n = traj.expectations["n"].real
+            assert n[0] == pytest.approx(2.0, abs=1e-9)
+            assert n[-1] < n[0]  # relaxing toward the thermal value
+            assert traj.final_state.space == space
 
     def test_time_grid_validation(self, rng):
         _, liou = thermal_cavity()
@@ -136,6 +145,54 @@ class TestEvolve:
             evolve(liou, rho0, [0.0, 2.0, 1.0])
         with pytest.raises(ValueError):
             evolve(liou, rho0, [0.0, 1.0, 3.0], method="expm")
+
+
+class TestMethodResolution:
+    def build(self):
+        h = build_dimensionless_hamiltonian(SMALL, 0.2, 0.3)
+        liou = build_liouvillian(h, DissipationParams(kappa1=0.02, kappa2=0.02))
+        rho0 = DensityMatrix.from_pure(SMALL, basis_ket(SMALL, [1, 0], ["e"]))
+        return liou, rho0
+
+    def test_uniform_grid_takes_expm(self):
+        liou, rho0 = self.build()
+        assert evolve(liou, rho0, np.linspace(0.0, 20.0, 5)).method == "expm"
+
+    def test_non_uniform_grid_takes_adaptive(self):
+        liou, rho0 = self.build()
+        assert evolve(liou, rho0, [0.0, 1.0, 3.0, 7.0]).method == "adaptive"
+
+    def test_short_grid_takes_adaptive(self):
+        liou, rho0 = self.build()
+        assert evolve(liou, rho0, [0.0, 5.0]).method == "adaptive"
+
+    def test_above_dense_limit_takes_adaptive(self, monkeypatch):
+        liou, rho0 = self.build()
+        monkeypatch.setattr(dynamics, "DENSE_MAX_SIDE", SMALL.total_dim**2 - 1)
+        traj = evolve(liou, rho0, np.linspace(0.0, 20.0, 5))
+        assert traj.method == "adaptive"
+
+    def test_delay_scans_ignore_dense_limit(self, monkeypatch):
+        # correlations keep exponential stepping above the limit: a long
+        # spectrum window integrates several times slower adaptively
+        space, liou = thermal_cavity(kappa=0.05)
+        rho = steady_state(liou)
+        a = annihilation(space, 0)
+        monkeypatch.setattr(dynamics, "DENSE_MAX_SIDE", space.total_dim**2 - 1)
+        series = correlation(liou, rho, a.dag(), a, np.linspace(0.0, 10.0, 5))
+        assert series.metadata["method"] == "expm"
+
+    def test_propagator_kept_per_step(self, monkeypatch):
+        liou, _ = self.build()
+        calls = []
+        expm = scipy.linalg.expm
+        monkeypatch.setattr(scipy.linalg, "expm", lambda m: calls.append(1) or expm(m))
+        first = liou.propagator(5.0)
+        assert liou.propagator(5.0) is first
+        assert len(calls) == 1
+        second = liou.propagator(2.0)
+        assert len(calls) == 2
+        assert np.allclose(second @ second, liou.propagator(4.0))
 
 
 class TestSteadyState:
@@ -207,6 +264,7 @@ class TestCorrelation:
         a = annihilation(space, 0)
         taus = np.linspace(0.0, 200.0, 101)
         series = correlation(liou, rho, a.dag(), a, taus)
+        assert series.metadata["method"] == "expm"
         probs = truncated_geometric(5, 0.15)
         assert series.values[0].real == pytest.approx((np.arange(5) * probs).sum(), abs=1e-12)
         mags = np.abs(series.values)
@@ -218,6 +276,7 @@ class TestCorrelation:
         a = annihilation(space, 0)
         taus = np.linspace(0.0, 100.0, 26)
         series = correlation(liou, rho, a.dag(), a, taus, method="adaptive")
+        assert series.metadata["method"] == "adaptive"
         seed = a.matrix @ rho.matrix
         for tau, value in zip(taus, series.values):
             prop = scipy.linalg.expm(liou.matrix * tau)
