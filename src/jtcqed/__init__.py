@@ -61,6 +61,7 @@ from .model import (
     derive_effective,
     dimensionless_couplings,
     params_from_dimensionless,
+    unbounded_below,
 )
 from .series import CorrelationSeries, ImbalanceSeries, SpectrumSeries
 

@@ -28,13 +28,11 @@ from .dynamics import (
     correlation,
     evolve,
 )
-from .errors import UndefinedCoherenceError
+from .errors import UndefinedCoherenceError, ValidationError
 from .hilbert import (
     DensityMatrix,
-    QOperator,
     SpaceSpec,
     annihilation,
-    eigen_lowest_states,
     expectation,
     number_operator,
     qubit_lowering,
@@ -65,24 +63,42 @@ class EigenScanTable:
     energies: np.ndarray  # shape (len(deltas), count)
 
 
-def eigen_row(
-    k: float,
-    delta: float,
-    count: int,
-    space: SpaceSpec,
-    include_quadratic: bool = True,
-    j_override: float | None = None,
-) -> np.ndarray:
-    """Lowest ``count`` eigenvalues at a single (k, delta) point.
+def _hamiltonian_sweep(k, delta_grid, count, space, include_quadratic, j_override=None):
+    """The validated mismatch grid and the real matrices H(delta) along it.
 
-    A module-level function so grid sweeps can be dispatched to worker
-    processes; each point is independent.
+    H(delta) is affine in delta, so two builds give h0 = H(0), h1 = H(1) - H(0)
+    and H(delta) = h0 + delta h1. Checking h0 and h1 (Hermitian, imaginary
+    part zero) covers every point, and the eigensolves run in real arithmetic,
+    about twice as fast as in complex. One matrix is formed at a time: a
+    stacked grid would double the peak memory of a large scan.
     """
-    h = build_dimensionless_hamiltonian(
-        space, k, delta, include_quadratic=include_quadratic, j_override=j_override
+    deltas = np.asarray(delta_grid, dtype=float)
+    if deltas.size == 0:
+        raise ValueError("delta grid must be nonempty")
+    if not np.all(np.isfinite(deltas)):
+        raise ValueError("delta grid must be finite")
+    if not 0 < count <= space.total_dim:
+        raise ValueError(f"count must be in [1, {space.total_dim}]")
+    at_zero, at_one = (
+        build_dimensionless_hamiltonian(
+            space, k, d, include_quadratic=include_quadratic, j_override=j_override
+        )
+        for d in (0.0, 1.0)
     )
-    values, _ = eigen_lowest_states(h, count)
-    return values
+    parts = (at_zero, at_one - at_zero)
+    if not all(part.is_hermitian() for part in parts):
+        raise ValidationError("eigen decomposition requires a Hermitian operator")
+    if any(np.any(part.matrix.imag) for part in parts):
+        raise ValidationError("eigen scans require a real Hamiltonian")
+    h0, h1 = (part.matrix.real for part in parts)
+    return deltas, (h0 + delta * h1 for delta in deltas)
+
+
+def eigen_row(k: float, delta: float, count: int, space: SpaceSpec,
+              include_quadratic: bool = True, j_override: float | None = None) -> np.ndarray:
+    """Lowest ``count`` eigenvalues at one (k, delta) point: a one-point
+    :func:`eigen_scan`, kept because the benchmark's tracer wraps it by name."""
+    return eigen_scan(k, [delta], count, space, include_quadratic, j_override).energies[0]
 
 
 def eigen_scan(
@@ -94,19 +110,10 @@ def eigen_scan(
     j_override: float | None = None,
 ) -> EigenScanTable:
     """Sweep the frequency mismatch and collect the lowest eigenvalues."""
-    deltas = np.asarray(delta_grid, dtype=float)
-    if deltas.size == 0:
-        raise ValueError("delta grid must be nonempty")
-    if not np.all(np.isfinite(deltas)):
-        raise ValueError("delta grid must be finite")
-    if not 0 < count <= space.total_dim:
-        raise ValueError(f"count must be in [1, {space.total_dim}]")
-    energies = np.empty((deltas.size, count))
-    for i, delta in enumerate(deltas):
-        energies[i] = eigen_row(
-            k, float(delta), count, space,
-            include_quadratic=include_quadratic, j_override=j_override,
-        )
+    deltas, hamiltonians = _hamiltonian_sweep(
+        k, delta_grid, count, space, include_quadratic, j_override
+    )
+    energies = np.array([np.linalg.eigvalsh(h)[:count] for h in hamiltonians])
     return EigenScanTable(deltas=deltas, energies=energies)
 
 
@@ -147,15 +154,14 @@ def single_mode_window(
     higher levels of the strongly coupled spectrum contain near-degenerate
     spectator pairs that hybridize at any mismatch and would mask the window.
     """
-    deltas = np.asarray(delta_grid, dtype=float)
-    n2 = number_operator(space, 1)
+    deltas, hamiltonians = _hamiltonian_sweep(
+        k, delta_grid, count, space, include_quadratic
+    )
+    n2 = number_operator(space, 1).matrix.real
     mixing = np.empty(deltas.size)
-    for i, delta in enumerate(deltas):
-        h = build_dimensionless_hamiltonian(
-            space, k, float(delta), include_quadratic=include_quadratic
-        )
-        _, vectors = eigen_lowest_states(h, count)
-        occ = np.real(np.einsum("ij,ik,kj->j", vectors.conj(), n2.matrix, vectors))
+    for i, h in enumerate(hamiltonians):
+        vectors = np.linalg.eigh(h)[1][:, :count]
+        occ = np.einsum("ij,ik,kj->j", vectors, n2, vectors)
         mixing[i] = np.abs(occ - np.round(occ)).max()
     center = int(np.argmin(np.abs(deltas)))
     if mixing[center] >= threshold:

@@ -7,10 +7,10 @@ Subcommands::
     jtcqed presets                   list bundled presets
 
 Every run writes its CSV plus a manifest echoing the resolved configuration,
-the library version, wall-clock time and per-task provenance notes. CSV
-bodies are byte-identical across repeated runs of the same configuration;
-manifests differ only in their timing fields. ``JTCQED_WORKERS`` sets the
-worker count for grid sweeps.
+the library version, wall-clock time and per-task provenance notes, among
+them a warning where the Hamiltonian is unbounded below and the config keys
+the task never reads. CSV bodies are byte-identical across repeated runs of
+the same configuration; manifests differ only in their timing fields.
 
 Exit codes: 0 success, 2 usage/config error, 3 numerical failure.
 """
@@ -18,8 +18,6 @@ Exit codes: 0 success, 2 usage/config error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
-import functools
 import json
 import math
 import os
@@ -30,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    eigen_row,
+    eigen_scan,
     g2,
     imbalance,
     power_spectrum,
@@ -46,24 +44,13 @@ from .config import (
 from .dynamics import build_liouvillian, steady_state
 from .errors import JTCQEDError
 from .hilbert import DensityMatrix, SpaceSpec, basis_ket
-from .model import build_dimensionless_hamiltonian
+from .model import build_dimensionless_hamiltonian, unbounded_below
 from .presets import PRESETS, preset_table
 
 USAGE_EXIT = 2
 NUMERICAL_EXIT = 3
 
 EIGEN_COUNT = 5  # fixed by the eigenscan CSV schema: delta,E1..E5
-
-
-def _workers() -> int:
-    raw = os.environ.get("JTCQED_WORKERS", "1")
-    try:
-        count = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"JTCQED_WORKERS must be an integer, got {raw!r}") from exc
-    if count < 1:
-        raise ConfigError("JTCQED_WORKERS must be >= 1")
-    return count
 
 
 def _fmt(value: float, precision: int) -> str:
@@ -120,25 +107,17 @@ def _liouvillian(cfg: RunConfig, space: SpaceSpec):
 
 
 def _run_eigenscan(cfg: RunConfig) -> tuple[list[str], list, dict]:
-    space = _space(cfg)
-    deltas = np.sort(np.asarray(cfg.delta_grid, dtype=float))
-    point = functools.partial(
-        eigen_row,
+    table = eigen_scan(
         cfg.k,
-        count=EIGEN_COUNT,
-        space=space,
+        np.sort(cfg.delta_grid),
+        EIGEN_COUNT,
+        _space(cfg),
         include_quadratic=cfg.include_quadratic,
         j_override=cfg.j_override,
     )
-    workers = _workers()
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            energies = list(pool.map(point, deltas))
-    else:
-        energies = [point(d) for d in deltas]
-    rows = [[d, *e] for d, e in zip(deltas, energies)]
+    rows = [[d, *e] for d, e in zip(table.deltas, table.energies)]
     header = ["delta"] + [f"E{i + 1}" for i in range(EIGEN_COUNT)]
-    return header, rows, {"workers": workers, "grid_points": int(deltas.size)}
+    return header, rows, {"grid_points": int(table.deltas.size)}
 
 
 def _run_spectrum(cfg: RunConfig) -> tuple[list[str], list, dict]:
@@ -213,6 +192,18 @@ def _run_imbalance(cfg: RunConfig) -> tuple[list[str], list, dict]:
     return ["t", "n1", "n2", "z"], rows, notes
 
 
+def _unbounded_warnings(cfg: RunConfig) -> list[str]:
+    deltas = np.sort(cfg.delta_grid) if cfg.task == "eigenscan" else np.array([cfg.delta])
+    flagged = unbounded_below(cfg.k, deltas, cfg.include_quadratic, cfg.j_override)
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], flagged, [0])))).reshape(-1, 2)
+    ranges = ", ".join(f"[{deltas[a]:g}, {deltas[b - 1]:g}]" for a, b in edges)
+    return [
+        f"Hamiltonian unbounded below at {flagged.sum()} of {deltas.size} delta points "
+        f"(delta in {ranges}); there its lowest levels fall without limit as "
+        "fock_dims grows, so the output depends on the truncation"
+    ] if flagged.any() else []
+
+
 _RUNNERS = {
     "eigenscan": _run_eigenscan,
     "spectrum": _run_spectrum,
@@ -225,6 +216,8 @@ def execute(cfg: RunConfig, out_dir: str | None = None) -> str:
     """Run one configured task; returns the CSV path."""
     start = time.perf_counter()
     header, rows, notes = _RUNNERS[cfg.task](cfg)
+    notes.setdefault("warnings", []).extend(_unbounded_warnings(cfg))
+    notes["unused_keys"] = list(cfg.unused_keys)
     csv_path = cfg.output_path
     if out_dir is not None and not os.path.isabs(csv_path):
         csv_path = os.path.join(out_dir, csv_path)

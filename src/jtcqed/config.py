@@ -33,9 +33,11 @@ A config file has four nested sections mirroring the run layout::
     precision = 12
 
 Unknown sections or keys are usage errors, as are missing required fields and
-values the run could not use (a non-power-of-two ``n_samples``, a ``times``
-grid that does not start at 0 and increase strictly, an initial state outside
-the truncation).
+values the run could not use (a non-finite ``delta``, ``delta_grid`` or
+``j_override``, a non-power-of-two ``n_samples``, a ``times`` grid that does
+not start at 0 and increase strictly, an initial state outside the
+truncation). Known keys that the configured task never reads are accepted and
+listed as ``unused_keys`` in the run's manifest.
 """
 
 from __future__ import annotations
@@ -68,6 +70,22 @@ _NUMERICS_KEYS = {
 }
 _OUTPUT_KEYS = {"path", "precision"}
 
+# The [model], [dissipation] and [numerics] keys each task reads; a key set
+# for a task that never reads it is reported in the manifest, not rejected
+# (presets set [dissipation] on eigenscans).
+_TASK_KEYS = {
+    "eigenscan": _MODEL_KEYS,
+    "spectrum": _MODEL_KEYS | _DISSIPATION_KEYS | {
+        "tau_max", "n_samples", "correlation_ordering",
+    },
+    "g2": _MODEL_KEYS | _DISSIPATION_KEYS | {
+        "times", "g2_normalization", "initial_state",
+    },
+    "imbalance": _MODEL_KEYS | _DISSIPATION_KEYS | {
+        "times", "tolerances", "initial_state",
+    },
+}
+
 
 class ConfigError(ValueError):
     """The configuration is malformed; maps to the usage exit code."""
@@ -93,6 +111,7 @@ class RunConfig:
     initial_state: str
     output_path: str
     precision: int
+    unused_keys: tuple[str, ...] = ()
 
     def resolved(self) -> dict:
         """JSON-ready echo of every resolved parameter (for the manifest)."""
@@ -251,8 +270,12 @@ def config_from_mapping(mapping: dict) -> RunConfig:
         )
         if delta_grid.size == 0:
             raise ConfigError("delta_grid must not be empty")
+        if not np.all(np.isfinite(delta_grid)):
+            raise ConfigError("delta_grid must be finite")
     elif delta_raw is not None:
         delta = _as_float(model, "delta")
+        if not math.isfinite(delta):
+            raise ConfigError("delta must be finite")
     if task == "eigenscan":
         if delta_grid is None:
             raise ConfigError("eigenscan requires delta_grid")
@@ -274,6 +297,8 @@ def config_from_mapping(mapping: dict) -> RunConfig:
         raise ConfigError("fock_dims must hold two truncations, each >= 2")
 
     j_override = _as_float(model, "j_override")
+    if j_override is not None and not math.isfinite(j_override):
+        raise ConfigError("j_override must be finite")
     include_quadratic = _as_bool(model, "include_quadratic", True)
 
     try:
@@ -362,6 +387,12 @@ def config_from_mapping(mapping: dict) -> RunConfig:
         initial_state=initial_state,
         output_path=str(path),
         precision=precision,
+        unused_keys=tuple(sorted(
+            key
+            for section in (model, dissipation, numerics)
+            for key in section
+            if _get(section, key) is not None and key not in _TASK_KEYS[task]
+        )),
     )
 
 

@@ -9,13 +9,16 @@ Three builders are provided:
 * ``build_dimensionless_hamiltonian`` -- the two-parameter (k, delta) form
   used by every production pipeline; mode frequencies are the energy unit.
 
-All builders return Hermitian operators for any finite parameters.
+All builders return Hermitian operators for any finite parameters;
+``unbounded_below`` tells where the dimensionless one has no ground state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DegenerateModelError
 from .hilbert import QOperator, SpaceSpec, annihilation, number_operator, pauli
@@ -29,6 +32,7 @@ __all__ = [
     "build_raw_hamiltonian",
     "build_effective_hamiltonian",
     "build_dimensionless_hamiltonian",
+    "unbounded_below",
 ]
 
 
@@ -228,3 +232,34 @@ def build_dimensionless_hamiltonian(
         drive = drive + (x1 @ x1) + 0.5 * delta * (x2 @ x2)
     h = h + math.sqrt(2.0) * k * (drive @ sx)
     return h
+
+
+def unbounded_below(
+    k: float,
+    delta,
+    include_quadratic: bool = True,
+    j_override: float | None = None,
+) -> np.ndarray:
+    """Where the untruncated ``build_dimensionless_hamiltonian`` has no ground state.
+
+    With x = a + a^dag, p = i(a^dag - a), a^dag a = (x^2 + p^2)/4 - 1/2 and
+    a1^dag a2 + h.c. = (x1 x2 + p1 p2)/2, the Hamiltonian in the sx = s sector
+    (s = +-1; the bounded sz/2 does not matter) is quadratic in x and p with
+    the 2x2 forms
+
+        P: [[1/4, J/4], [J/4, 1/4]]
+        X: [[1/4 + s c1, J/4], [J/4, 1/4 + s c2]],  c1 = sqrt(2) k, c2 = c1 delta/2
+
+    (c1 = c2 = 0 in the linear model), plus linear terms. It is bounded below
+    iff all three forms are positive definite; a semidefinite form is flagged
+    too. Where this is True the lowest levels of a truncated space fall
+    without limit as fock_dims grows. Returns one flag per ``delta``.
+    """
+    delta = np.asarray(delta, dtype=float)
+    j = 0.5 * delta if j_override is None else np.full_like(delta, j_override)
+    c1 = math.sqrt(2.0) * k if include_quadratic else 0.0
+    bounded = np.abs(j) < 1.0
+    for s in (1.0, -1.0):
+        xx, yy = 0.25 + s * c1, 0.25 + s * c1 * 0.5 * delta
+        bounded &= (xx > 0) & (xx * yy > (j / 4) ** 2)
+    return ~bounded

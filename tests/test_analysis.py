@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from jtcqed import analysis
 from jtcqed import (
     DensityMatrix,
     DissipationParams,
     SpaceSpec,
     UndefinedCoherenceError,
+    ValidationError,
     annihilation,
     basis_ket,
     build_dimensionless_hamiltonian,
@@ -62,6 +64,29 @@ class TestEigenScan:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             eigen_scan(0.1, [], 5, SMALL)
+
+    def test_two_builds_per_sweep(self, monkeypatch):
+        # H(delta) is affine in delta: a sweep of any length builds it twice
+        calls = []
+        build = analysis.build_dimensionless_hamiltonian
+        monkeypatch.setattr(
+            analysis, "build_dimensionless_hamiltonian",
+            lambda *args, **kwargs: calls.append(1) or build(*args, **kwargs),
+        )
+        grid = np.linspace(-1.0, 1.0, 9)
+        eigen_scan(0.2, grid, 4, SMALL, j_override=0.3)
+        assert len(calls) == 2
+        single_mode_window(0.2, grid, SMALL)
+        assert len(calls) == 4
+
+    def test_row_is_one_point_scan(self):
+        table = eigen_scan(0.2, [0.35], 5, SMALL, include_quadratic=False)
+        row = analysis.eigen_row(0.2, 0.35, 5, SMALL, include_quadratic=False)
+        assert np.array_equal(row, table.energies[0])
+
+    def test_non_finite_model_rejected(self):
+        with pytest.raises(ValidationError):
+            eigen_scan(0.1, [0.0], 5, SMALL, j_override=float("nan"))
 
     def test_window_widens_with_coupling(self):
         grid = np.linspace(-1.0, 1.0, 81)

@@ -4,6 +4,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from jtcqed import SpaceSpec, build_dimensionless_hamiltonian, eigen_lowest
 from jtcqed.cli import main
 from jtcqed.presets import PRESETS
 
@@ -70,14 +71,62 @@ class TestEigenscanRun:
         main(["run", cfg])
         assert out.read_bytes() == first
 
-    def test_parallel_matches_serial(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "model",
+        [
+            {"include_quadratic": True},
+            {"include_quadratic": False},
+            {"include_quadratic": True, "j_override": 0.3},
+        ],
+        ids=["full", "linear", "j_override"],
+    )
+    def test_matches_per_point_diagonalization(self, tmp_path, model):
         out = tmp_path / "scan.csv"
-        cfg = write_config(tmp_path / "run.ini", EIGENSCAN_CONFIG.format(out=out))
-        main(["run", cfg])
-        serial = out.read_bytes()
-        monkeypatch.setenv("JTCQED_WORKERS", "2")
-        main(["run", cfg])
-        assert out.read_bytes() == serial
+        keys = "".join(f"{key} = {str(value).lower()}\n" for key, value in model.items())
+        body = (
+            "[run]\ntask = eigenscan\n[model]\nk = 0.12\ndelta_grid = -1:1:21\n"
+            f"fock_dims = 3, 3\n{keys}[output]\npath = {out}\n"
+        )
+        assert main(["run", write_config(tmp_path / "run.ini", body)]) == 0
+        table = np.loadtxt(out, delimiter=",", skiprows=1)
+        space = SpaceSpec((3, 3), 1)
+        for delta, *energies in table:
+            expected = eigen_lowest(build_dimensionless_hamiltonian(space, 0.12, delta, **model), 5)
+            assert np.all(np.abs(energies - expected) <= 1e-11 * np.maximum(1.0, np.abs(expected)))
+
+    @pytest.mark.parametrize(
+        "task, model, expected",
+        [
+            ("eigenscan", "k = 0.15\ndelta_grid = -1:1:201", "43 of 201 delta points (delta in [-1, -0.92], [0.67, 1])"),
+            ("imbalance", "k = 0.5\ndelta = 0.0", "1 of 1 delta points (delta in [0, 0])"),
+        ],
+    )
+    def test_unbounded_hamiltonian_warns(self, tmp_path, task, model, expected):
+        out = tmp_path / "run.csv"
+        body = (
+            f"[run]\ntask = {task}\n[model]\n{model}\nfock_dims = 2, 2\n"
+            f"[numerics]\ntimes = 0:10:3\n[output]\npath = {out}\n"
+        )
+        assert main(["run", write_config(tmp_path / "run.ini", body)]) == 0
+        warnings = json.loads((tmp_path / "run.manifest.json").read_text())["notes"]["warnings"]
+        assert len(warnings) == 1 and expected in warnings[0]
+
+    def test_unused_keys_noted(self, tmp_path):
+        # keys the task never reads are accepted, change nothing and are named
+        base = textwrap.dedent(EIGENSCAN_CONFIG).format(out=tmp_path / "scan.csv")
+        assert main(["run", write_config(tmp_path / "base.ini", base)]) == 0
+        first = (tmp_path / "scan.csv").read_bytes()
+        manifest = json.loads((tmp_path / "scan.manifest.json").read_text())
+        assert manifest["notes"]["unused_keys"] == []
+        assert manifest["notes"]["warnings"] == []
+        extra = (
+            "\n[numerics]\ntau_max = 5\ng2_normalization = first_order\n"
+            "tolerances = 1e-3, 1e-3\n"
+        )
+        assert main(["run", write_config(tmp_path / "extra.ini", base + extra)]) == 0
+        assert (tmp_path / "scan.csv").read_bytes() == first
+        manifest = json.loads((tmp_path / "scan.manifest.json").read_text())
+        assert manifest["notes"]["unused_keys"] == ["g2_normalization", "tau_max", "tolerances"]
 
     def test_rows_sorted_by_delta(self, tmp_path):
         out = tmp_path / "scan.csv"
@@ -193,6 +242,10 @@ class TestConfigErrors:
             ("imbalance", "numerics", "times", "1:10:3"),
             ("g2", "numerics", "times", "1:10:3"),
             ("eigenscan", "model", "obrien_normalization", "true"),
+            ("eigenscan", "model", "delta_grid", "0, nan"),
+            ("eigenscan", "model", "j_override", "inf"),
+            ("eigenscan", "model", "j_override", "nan"),
+            ("imbalance", "model", "delta", "nan"),
         ],
     )
     def test_unusable_value_is_usage_error(self, tmp_path, capsys, task, section, key, value):

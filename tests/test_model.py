@@ -17,6 +17,7 @@ from jtcqed import (
     eigen_lowest,
     number_operator,
     params_from_dimensionless,
+    unbounded_below,
 )
 
 SPACE = SpaceSpec((2, 2), 1)
@@ -218,6 +219,42 @@ class TestDimensionlessHamiltonian:
             assert np.abs(
                 eigen_lowest(h_raw, 5) - eigen_lowest(h_dim, 5)
             ).max() <= 1e-9
+
+
+class TestUnboundedBelow:
+    GRID = np.linspace(-1.0, 1.0, 201)
+
+    def test_fig1b_coupling_flagged_everywhere(self):
+        assert unbounded_below(1.0 / SQRT2, self.GRID).all()
+
+    def test_fig1a_coupling_never_flagged(self):
+        assert not unbounded_below(0.1 / SQRT2, self.GRID).any()
+
+    def test_intermediate_coupling_flagged_at_large_mismatch(self):
+        # k = 0.15 with J = delta/2: the x-form of the sx = -1 sector loses
+        # definiteness at delta = 0.660 and delta = -0.918
+        flagged = unbounded_below(0.15, self.GRID)
+        assert flagged.sum() == 43
+        expected = (self.GRID <= -0.92 + 1e-9) | (self.GRID >= 0.67 - 1e-9)
+        assert np.array_equal(flagged, expected)
+
+    def test_linear_model_flagged_only_by_hopping(self):
+        assert not unbounded_below(0.5, self.GRID, include_quadratic=False).any()
+        hops = np.array([-1.5, -1.0, -0.99, 0.0, 0.99, 1.0, 1.5])
+        for j in hops:
+            flags = unbounded_below(0.5, self.GRID, include_quadratic=False, j_override=j)
+            assert (flags.all() if abs(j) >= 1.0 else not flags.any()), j
+
+    def test_flag_matches_truncation_dependence(self):
+        # a flagged point's ground energy keeps falling as the truncation
+        # grows; an unflagged one converges
+        def ground(delta, n):
+            h = build_dimensionless_hamiltonian(SpaceSpec((n, n), 1), 0.15, delta)
+            return eigen_lowest(h, 1)[0]
+
+        assert unbounded_below(0.15, 1.0) and not unbounded_below(0.15, 0.0)
+        assert ground(1.0, 8) - ground(1.0, 12) > 0.5
+        assert abs(ground(0.0, 8) - ground(0.0, 12)) < 0.02
 
 
 class TestEffectiveHamiltonian:
