@@ -152,13 +152,10 @@ def _run_g2(cfg: RunConfig) -> tuple[list[str], list, dict]:
     liouvillian = _liouvillian(cfg, space)
     rho0 = _initial_state(cfg, space)
     taus = np.asarray(cfg.times, dtype=float)
-    series_r = g2(
-        liouvillian, rho0, target="resonator", taus=taus,
-        normalization=cfg.g2_normalization, reference=(0.0, rho0),
-    )
-    series_q = g2(
-        liouvillian, rho0, target="qubit", taus=taus,
-        normalization=cfg.g2_normalization, reference=(0.0, rho0),
+    series_r, series_q = (
+        g2(liouvillian, rho0, target=target, taus=taus,
+           normalization=cfg.g2_normalization, reference=(0.0, rho0))
+        for target in ("resonator", "qubit")
     )
     rows = list(zip(taus, series_r.values, series_q.values))
     notes = {
@@ -204,20 +201,27 @@ def _unbounded_warnings(cfg: RunConfig) -> list[str]:
     ] if flagged.any() else []
 
 
+# Each runner and the [dissipation]/[numerics] keys it reads (all read [model];
+# imbalance reads tolerances only on its adaptive path). Other keys set are
+# listed as unused in the manifest, not rejected: presets set them on eigenscans.
+_DISSIPATION = ("kappa1", "kappa2", "gamma", "gamma_phi", "n_th")
 _RUNNERS = {
-    "eigenscan": _run_eigenscan,
-    "spectrum": _run_spectrum,
-    "g2": _run_g2,
-    "imbalance": _run_imbalance,
+    "eigenscan": (_run_eigenscan, ()),
+    "spectrum": (_run_spectrum, (*_DISSIPATION, "tau_max", "n_samples", "correlation_ordering")),
+    "g2": (_run_g2, (*_DISSIPATION, "times", "g2_normalization", "initial_state")),
+    "imbalance": (_run_imbalance, (*_DISSIPATION, "times", "tolerances", "initial_state")),
 }
 
 
 def execute(cfg: RunConfig, out_dir: str | None = None) -> str:
     """Run one configured task; returns the CSV path."""
     start = time.perf_counter()
-    header, rows, notes = _RUNNERS[cfg.task](cfg)
+    run, reads = _RUNNERS[cfg.task]
+    header, rows, notes = run(cfg)
     notes.setdefault("warnings", []).extend(_unbounded_warnings(cfg))
-    notes["unused_keys"] = list(cfg.unused_keys)
+    if notes.get("method") == "expm":
+        reads = set(reads) - {"tolerances"}
+    notes["unused_keys"] = [key for key in cfg.given_keys if key not in reads]
     csv_path = cfg.output_path
     if out_dir is not None and not os.path.isabs(csv_path):
         csv_path = os.path.join(out_dir, csv_path)
@@ -227,9 +231,7 @@ def execute(cfg: RunConfig, out_dir: str | None = None) -> str:
 
 
 def _cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    path = execute(cfg)
-    print(path)
+    print(execute(load_config(args.config)))
     return 0
 
 
@@ -241,9 +243,7 @@ def _cmd_preset(args) -> int:
         )
     out_dir = args.out or "."
     for _, mapping in preset.runs:
-        cfg = config_from_mapping(mapping)
-        path = execute(cfg, out_dir=out_dir)
-        print(path)
+        print(execute(config_from_mapping(mapping), out_dir=out_dir))
     return 0
 
 

@@ -36,7 +36,7 @@ Unknown sections or keys are usage errors, as are missing required fields and
 values the run could not use (a non-finite ``delta``, ``delta_grid`` or
 ``j_override``, a non-power-of-two ``n_samples``, a ``times`` grid that does
 not start at 0 and increase strictly, an initial state outside the
-truncation). Known keys that the configured task never reads are accepted and
+truncation). Known keys that the configured run never reads are accepted and
 listed as ``unused_keys`` in the run's manifest.
 """
 
@@ -70,22 +70,6 @@ _NUMERICS_KEYS = {
 }
 _OUTPUT_KEYS = {"path", "precision"}
 
-# The [model], [dissipation] and [numerics] keys each task reads; a key set
-# for a task that never reads it is reported in the manifest, not rejected
-# (presets set [dissipation] on eigenscans).
-_TASK_KEYS = {
-    "eigenscan": _MODEL_KEYS,
-    "spectrum": _MODEL_KEYS | _DISSIPATION_KEYS | {
-        "tau_max", "n_samples", "correlation_ordering",
-    },
-    "g2": _MODEL_KEYS | _DISSIPATION_KEYS | {
-        "times", "g2_normalization", "initial_state",
-    },
-    "imbalance": _MODEL_KEYS | _DISSIPATION_KEYS | {
-        "times", "tolerances", "initial_state",
-    },
-}
-
 
 class ConfigError(ValueError):
     """The configuration is malformed; maps to the usage exit code."""
@@ -111,7 +95,9 @@ class RunConfig:
     initial_state: str
     output_path: str
     precision: int
-    unused_keys: tuple[str, ...] = ()
+    # the [dissipation] and [numerics] keys the config sets; every task reads
+    # all of [model], and cli.execute reports the rest its task never reads
+    given_keys: tuple[str, ...] = ()
 
     def resolved(self) -> dict:
         """JSON-ready echo of every resolved parameter (for the manifest)."""
@@ -387,11 +373,11 @@ def config_from_mapping(mapping: dict) -> RunConfig:
         initial_state=initial_state,
         output_path=str(path),
         precision=precision,
-        unused_keys=tuple(sorted(
+        given_keys=tuple(sorted(
             key
-            for section in (model, dissipation, numerics)
+            for section in (dissipation, numerics)
             for key in section
-            if _get(section, key) is not None and key not in _TASK_KEYS[task]
+            if _get(section, key) is not None
         )),
     )
 

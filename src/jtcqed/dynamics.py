@@ -2,9 +2,8 @@
 
 The Liouvillian is represented two ways at once:
 
-* as a sparse superoperator assembled from its ingredients (Hamiltonian +
-  scaled collapse operators), whose mat-vec drives the right-hand side of
-  adaptive integration and the stationarity residuals, and
+* as its ingredients (Hamiltonian + scaled collapse operators), which drive a
+  cheap matrix-shaped right-hand side for adaptive integration, and
 * as a dense superoperator of side ``total_dim**2`` in column-major
   vectorization, materialized lazily, which powers the matrix-exponential
   propagation path (one propagator per step size, kept between calls),
@@ -22,7 +21,6 @@ from typing import Sequence
 import numpy as np
 import scipy.integrate
 import scipy.linalg
-import scipy.sparse
 
 from .errors import (
     DegenerateSteadyStateError,
@@ -112,7 +110,6 @@ class Liouvillian:
         self._cs = [c.matrix for c in self.collapse_ops]
         self._cdcs = [c.conj().T @ c for c in self._cs]
         self._matrix: np.ndarray | None = None
-        self._sparse: scipy.sparse.csr_matrix | None = None
         self._propagator: tuple[float, np.ndarray] | None = None
 
     @property
@@ -130,23 +127,12 @@ class Liouvillian:
         return self._matrix
 
     def apply(self, mat: np.ndarray) -> np.ndarray:
-        """Apply the generator to a (not necessarily Hermitian) matrix.
-
-        A mat-vec with the sparse superoperator, built on first use from
-        H_eff = H - (i/2) sum_k c_k^dag c_k as -i H_eff rho + i rho H_eff^dag
-        + sum_k c_k rho c_k^dag. The model's operators have a few nonzeros
-        per row, so a call costs a few times d^2 operations instead of the
-        d^3 of dense matrix products.
-        """
-        d = self.space.total_dim
-        if self._sparse is None:
-            kron, eye = scipy.sparse.kron, scipy.sparse.identity(d, dtype=complex)
-            h_eff = scipy.sparse.csr_matrix(self._h - 0.5j * sum(self._cdcs))
-            s = -1j * kron(eye, h_eff) + 1j * kron(h_eff.conj(), eye)
-            for c in map(scipy.sparse.csr_matrix, self._cs):
-                s = s + kron(c.conj(), c)
-            self._sparse = s.tocsr()
-        return _unvec(self._sparse @ _vec(mat), d)
+        """Apply the generator to a (not necessarily Hermitian) matrix."""
+        out = -1j * (self._h @ mat - mat @ self._h)
+        for c, cdc in zip(self._cs, self._cdcs):
+            out += c @ mat @ c.conj().T
+            out -= 0.5 * (cdc @ mat + mat @ cdc)
+        return out
 
     def propagator(self, dt: float) -> np.ndarray:
         """expm(L dt); the propagator of the last step size asked for is kept."""
@@ -264,11 +250,8 @@ def _expm_scan(
 
     Returns (values, states, x_final) where ``values[r, k]`` is
     weight_rows[r] . x(k dt) including k = 0, and ``states`` collects every
-    x(k dt) when requested. Long scans are taken in blocks so the work is
-    done by matrix-matrix products with expm(L dt)**block rather than a long
-    chain of matrix-vector ones. That power costs log2(block) dense products
-    of side n, which pay off only after about n / 4 steps (measured at sides
-    1024 and 2500), so shorter scans are one chain of matrix-vector steps.
+    x(k dt) when requested. Steps are taken in blocks so the work is done by
+    matrix-matrix products rather than a long chain of matrix-vector ones.
     """
     values = None
     if weight_rows is not None:
@@ -280,7 +263,7 @@ def _expm_scan(
         return values, states, x0.copy()
 
     prop = liouvillian.propagator(dt)
-    m = n_steps if 4 * n_steps <= x0.size else min(block, n_steps)
+    m = min(block, n_steps)
     cols = np.empty((x0.size, m), dtype=complex)
     x = x0
     for j in range(m):

@@ -1,3 +1,4 @@
+import configparser
 import json
 import textwrap
 
@@ -5,13 +6,21 @@ import numpy as np
 import pytest
 
 from jtcqed import SpaceSpec, build_dimensionless_hamiltonian, eigen_lowest
+from jtcqed import cli
 from jtcqed.cli import main
+from jtcqed.config import config_from_mapping
 from jtcqed.presets import PRESETS
 
 
 def write_config(path, body):
     path.write_text(textwrap.dedent(body))
     return str(path)
+
+
+def load_config_text(body):
+    parser = configparser.ConfigParser()
+    parser.read_string(textwrap.dedent(body))
+    return config_from_mapping({name: dict(parser[name]) for name in parser.sections()})
 
 
 EIGENSCAN_CONFIG = """
@@ -401,8 +410,61 @@ class TestTaskRuns:
             assert main(["run", cfg]) == 0
             manifest = json.loads((tmp_path / f"{label}.manifest.json").read_text())
             assert manifest["notes"]["method"] == method
+            assert manifest["notes"]["unused_keys"] == (
+                ["tolerances"] if tolerances and not honoured else []
+            )
             csvs.append(out.read_text())
         assert (csvs[0] != csvs[1]) == honoured
+
+    @pytest.mark.parametrize("task", ["eigenscan", "spectrum", "g2", "imbalance"])
+    def test_runner_key_table_matches_reads(self, task):
+        # the key table beside each runner must name exactly the [dissipation]
+        # and [numerics] keys the runner reads (imbalance on its adaptive path)
+        fields = {
+            "dissipation": cli._DISSIPATION, "tau_max": ("tau_max",),
+            "n_samples": ("n_samples",), "times": ("times",), "rtol": ("tolerances",),
+            "atol": ("tolerances",), "correlation_ordering": ("correlation_ordering",),
+            "g2_normalization": ("g2_normalization",), "initial_state": ("initial_state",),
+        }
+        grid = "delta_grid = -0.5:0.5:3" if task == "eigenscan" else "delta = 0.2"
+        cfg = load_config_text(
+            f"""
+            [run]
+            task = {task}
+            [model]
+            k = 0.1
+            {grid}
+            fock_dims = 2, 2
+            [dissipation]
+            kappa1 = 0.01
+            kappa2 = 0.01
+            gamma = 0.01
+            gamma_phi = 0.01
+            n_th = 0.1
+            [numerics]
+            tau_max = 1000
+            n_samples = 16
+            times = 0, 1, 3
+            tolerances = 1e-6, 1e-8
+            correlation_ordering = emission
+            g2_normalization = standard
+            initial_state = 1,0,e
+            [output]
+            path = unused.csv
+            """
+        )
+        read = set()
+
+        class Recorder:
+            def __getattr__(self, name):
+                read.update(fields.get(name, ()))
+                return getattr(cfg, name)
+
+        run, reads = cli._RUNNERS[task]
+        notes = run(Recorder())[2]
+        assert read == set(reads)
+        assert notes.get("method", "adaptive") == "adaptive"
+        assert set(cfg.given_keys) == {key for keys in fields.values() for key in keys}
 
     def test_g2_undefined_coherence_is_numerical_error(self, tmp_path, capsys):
         cfg = write_config(

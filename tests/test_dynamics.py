@@ -194,22 +194,6 @@ class TestMethodResolution:
         assert len(calls) == 2
         assert np.allclose(second @ second, liou.propagator(4.0))
 
-    @pytest.mark.parametrize("n_steps, powers", [(72, 0), (73, 1)])
-    def test_block_power_only_for_long_scans(self, monkeypatch, rng, n_steps, powers):
-        # superoperator side 17**2 = 289: scans of up to 289 / 4 steps are one
-        # mat-vec chain, longer ones step in blocks with expm(L dt)**64
-        space, liou = thermal_cavity(kappa=0.05, dim=17)
-        rho0 = random_density(space, rng)
-        calls = []
-        power = np.linalg.matrix_power
-        monkeypatch.setattr(np.linalg, "matrix_power", lambda m, k: calls.append(k) or power(m, k))
-        times = np.linspace(0.0, 0.5 * n_steps, n_steps + 1)
-        traj = evolve(liou, rho0, times, observables={"n": number_operator(space, 0)})
-        assert traj.method == "expm"
-        assert len(calls) == powers
-        exact = scipy.linalg.expm(liou.matrix * times[-1]) @ rho0.matrix.ravel(order="F")
-        assert np.abs(traj.final_state.matrix - exact.reshape((17, 17), order="F")).max() <= 1e-10
-
 
 class TestSteadyState:
     def test_empty_cavity(self):
