@@ -33,8 +33,9 @@ A config file has four nested sections mirroring the run layout::
     precision = 12
 
 Unknown sections or keys are usage errors, as are missing required fields and
-values the run could not use (a non-finite ``delta``, ``delta_grid`` or
-``j_override``, a non-power-of-two ``n_samples``, a ``times`` grid that does
+values the run could not use (a non-finite ``delta``, ``delta_grid``,
+``j_override``, ``tau_max`` or dissipation rate, a non-power-of-two
+``n_samples``, a ``times`` grid that does
 not start at 0 and increase strictly, an initial state outside the
 truncation). Known keys that the configured run never reads are accepted and
 listed as ``unused_keys`` in the run's manifest.
@@ -349,8 +350,8 @@ def config_from_mapping(mapping: dict) -> RunConfig:
     if precision < 1 or precision > 17:
         raise ConfigError("precision must be between 1 and 17 significant digits")
 
-    if tau_max is not None and tau_max <= 0:
-        raise ConfigError("tau_max must be positive")
+    if tau_max is not None and not (math.isfinite(tau_max) and tau_max > 0):
+        raise ConfigError("tau_max must be positive and finite")
     if k is None or not math.isfinite(k):
         raise ConfigError("k must be finite")
 

@@ -9,12 +9,19 @@ The Liouvillian is represented two ways at once:
   propagation path (one propagator per step size, kept between calls),
   steady-state kernel solves and exactness oracles.
 
+Exponential scans step a state chain x <- P x, except long values-only
+scans (correlations, observable records), which step the few weight rows by
+a power of P against baby-step state columns. The steady state is one LU
+solve of the trace-bordered superoperator, whose condition estimate is the
+uniqueness check.
+
 Both propagation paths integrate the same generator; they are cross-checked
 against each other in the test suite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,12 +54,9 @@ __all__ = [
 RTOL = 1e-8
 ATOL = 1e-10
 
-# Largest superoperator side for dense O(n^3) superoperator work by default:
-# the steady-state solver's exact singular-value kernel-dimension check and
-# exponential stepping of states under ``evolve(method="auto")``. Larger
-# systems fall back to the solve-and-residual route (degenerate kernels still
-# surface as singular or inconsistent solves) and to adaptive integration,
-# the only path whose memory fits there.
+# Largest superoperator side at which ``evolve(method="auto")`` steps states
+# by a dense propagator; larger systems integrate adaptively, the only path
+# whose memory fits there. Delay scans and the steady state do not consult it.
 DENSE_MAX_SIDE = 2704
 
 STEADY_RESIDUAL_TOL = 1e-10
@@ -80,8 +84,9 @@ class DissipationParams:
 
     def __post_init__(self):
         for name in ("kappa1", "kappa2", "gamma", "gamma_phi", "n_th"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative")
 
 
 def _vec(mat: np.ndarray) -> np.ndarray:
@@ -237,6 +242,27 @@ def _is_uniform(grid: np.ndarray) -> bool:
     return bool(np.allclose(steps, steps[0], rtol=1e-9, atol=1e-14))
 
 
+def _block_size(side: int, n_steps: int, n_rows: int) -> int:
+    """Giant-step length m of a values-only scan; ``n_steps + 1`` is the plain chain.
+
+    Costs are counted in propagator mat-vecs. Giant steps of m = 2^j cost j
+    squarings of the propagator (about side/6 mat-vecs each, measured at
+    sides 1024 and 2500), m - 1 baby steps, one row-times-matrix product per
+    weight row and giant step, and the giant steps from the last baby state
+    to the final state. The chain costs n_steps mat-vecs. m stays at most
+    ``side``, so the baby columns never outgrow the propagator.
+    """
+    best, best_cost = n_steps + 1, float(n_steps)
+    m = 2
+    while m <= min(side, n_steps):
+        giant = -(-(n_steps + 1) // m)
+        cost = math.log2(m) * side / 6 + (m - 1) + n_rows * giant + n_steps // m
+        if cost < best_cost:
+            best, best_cost = m, cost
+        m *= 2
+    return best
+
+
 def _expm_scan(
     liouvillian: Liouvillian,
     x0: np.ndarray,
@@ -244,49 +270,56 @@ def _expm_scan(
     dt: float,
     weight_rows: np.ndarray | None = None,
     keep_states: bool = False,
-    block: int = 64,
 ):
-    """Propagate x0 through n_steps of expm(L dt).
+    """Propagate x0 through n_steps of P = expm(L dt).
 
     Returns (values, states, x_final) where ``values[r, k]`` is
     weight_rows[r] . x(k dt) including k = 0, and ``states`` collects every
-    x(k dt) when requested. Steps are taken in blocks so the work is done by
-    matrix-matrix products rather than a long chain of matrix-vector ones.
+    x(k dt) when requested. Scans that keep states, and short ones, run the
+    plain chain x <- P x. A values-only scan whose cost model (see
+    :func:`_block_size`) favours it splits k = a m + b instead: it keeps the
+    baby-step states P^b x0 as columns and steps the weight rows by P^m, so
+    values[:, a m + b] = (W P^(a m)) (P^b x0).
     """
     values = None
     if weight_rows is not None:
         values = np.empty((weight_rows.shape[0], n_steps + 1), dtype=complex)
         values[:, 0] = weight_rows @ x0
     states = [x0.copy()] if keep_states else None
-
     if n_steps == 0:
         return values, states, x0.copy()
 
     prop = liouvillian.propagator(dt)
-    m = min(block, n_steps)
+    m = n_steps + 1
+    if weight_rows is not None and not keep_states:
+        m = _block_size(x0.size, n_steps, weight_rows.shape[0])
+    if m > n_steps:
+        x = x0
+        for k in range(1, n_steps + 1):
+            x = prop @ x
+            if keep_states:
+                states.append(x)
+            if values is not None:
+                values[:, k] = weight_rows @ x
+        return values, states, x
+
     cols = np.empty((x0.size, m), dtype=complex)
-    x = x0
-    for j in range(m):
-        x = prop @ x
-        cols[:, j] = x
-
-    def emit(block_cols, first_step, take):
-        if weight_rows is not None:
-            values[:, first_step : first_step + take] = weight_rows @ block_cols[:, :take]
-        if keep_states:
-            for j in range(take):
-                states.append(block_cols[:, j].copy())
-
-    emit(cols, 1, m)
-    done = m
-    if done < n_steps:
-        prop_m = np.linalg.matrix_power(prop, m)
-        while done < n_steps:
-            cols = prop_m @ cols
-            take = min(m, n_steps - done)
-            emit(cols, done + 1, take)
-            done += take
-    x_final = cols[:, (n_steps - 1) % m].copy()
+    cols[:, 0] = x0
+    for b in range(1, m):
+        cols[:, b] = prop @ cols[:, b - 1]
+    prop_m = prop
+    for _ in range(m.bit_length() - 1):
+        prop_m = prop_m @ prop_m
+    rows = weight_rows
+    for first in range(0, n_steps + 1, m):
+        if first:
+            rows = rows @ prop_m
+        take = min(m, n_steps + 1 - first)
+        values[:, first : first + take] = rows @ cols[:, :take]
+    giant, b = divmod(n_steps, m)
+    x_final = cols[:, b].copy()
+    for _ in range(giant):
+        x_final = prop_m @ x_final
     return values, states, x_final
 
 
@@ -427,10 +460,13 @@ def steady_state(liouvillian: Liouvillian, kernel_check: str = "auto") -> Densit
 
     The first row of the superoperator (a redundant row: the trace functional
     annihilates the generator) is replaced by the trace constraint and the
-    resulting system solved directly. ``kernel_check`` controls the explicit
-    kernel-dimension test: "always", "never", or "auto" (singular values are
-    examined whenever the superoperator side is modest). A kernel of
-    dimension > 1 is reported, never silently resolved.
+    resulting system solved by LU. The bordered system is singular exactly
+    when the kernel has dimension > 1, so the kernel check is LAPACK's
+    reciprocal-condition estimate of that LU, O(n^2) after the factorization:
+    below n * eps the steady state is reported as not unique, never silently
+    resolved. ``kernel_check`` is "auto" or "always" (the same: the check runs
+    at every size) or "never". A generator without a kernel fails the
+    stationarity-residual check that follows the solve.
     """
     lmat = liouvillian.matrix
     n = lmat.shape[0]
@@ -438,19 +474,6 @@ def steady_state(liouvillian: Liouvillian, kernel_check: str = "auto") -> Densit
 
     if kernel_check not in ("auto", "always", "never"):
         raise ValueError("kernel_check must be 'auto', 'always' or 'never'")
-    do_svd = kernel_check == "always" or (kernel_check == "auto" and n <= DENSE_MAX_SIDE)
-    if do_svd:
-        sv = np.linalg.svd(lmat, compute_uv=False)
-        tol = max(sv[0], 1.0) * n * np.finfo(float).eps
-        kernel_dim = int(np.sum(sv < tol))
-        if kernel_dim == 0:
-            raise DegenerateSteadyStateError(
-                f"no kernel found (smallest singular value {sv[-1]:.3e})"
-            )
-        if kernel_dim > 1:
-            raise DegenerateSteadyStateError(
-                f"kernel dimension {kernel_dim} > 1; steady state is not unique"
-            )
 
     m = np.array(lmat, dtype=complex)
     trace_row = _vec(np.eye(d, dtype=complex))
@@ -459,11 +482,19 @@ def steady_state(liouvillian: Liouvillian, kernel_check: str = "auto") -> Densit
     b[0] = 1.0
     try:
         lu, piv = scipy.linalg.lu_factor(m)
-        x = scipy.linalg.lu_solve((lu, piv), b)
-        # One refinement pass tightens the residual at negligible cost.
-        x += scipy.linalg.lu_solve((lu, piv), b - m @ x)
     except scipy.linalg.LinAlgError as exc:
         raise DegenerateSteadyStateError(f"kernel solve failed: {exc}") from exc
+    if kernel_check != "never":
+        gecon = scipy.linalg.get_lapack_funcs("gecon", (lu,))
+        rcond, _ = gecon(lu, np.linalg.norm(m, 1), norm="1")
+        if not rcond >= n * np.finfo(float).eps:
+            raise DegenerateSteadyStateError(
+                f"kernel dimension > 1 (reciprocal condition {rcond:.3e} of the "
+                "trace-bordered system); steady state is not unique"
+            )
+    x = scipy.linalg.lu_solve((lu, piv), b)
+    # One refinement pass tightens the residual at negligible cost.
+    x += scipy.linalg.lu_solve((lu, piv), b - m @ x)
     if not np.all(np.isfinite(x)):
         raise DegenerateSteadyStateError("kernel solve produced non-finite values")
 

@@ -255,6 +255,14 @@ class TestConfigErrors:
             ("eigenscan", "model", "j_override", "inf"),
             ("eigenscan", "model", "j_override", "nan"),
             ("imbalance", "model", "delta", "nan"),
+            ("spectrum", "numerics", "tau_max", "nan"),
+            ("spectrum", "numerics", "tau_max", "inf"),
+            ("spectrum", "dissipation", "kappa1", "nan"),
+            ("spectrum", "dissipation", "kappa2", "inf"),
+            ("imbalance", "dissipation", "gamma", "nan"),
+            ("imbalance", "dissipation", "gamma_phi", "inf"),
+            ("spectrum", "dissipation", "n_th", "inf"),
+            ("g2", "dissipation", "n_th", "nan"),
         ],
     )
     def test_unusable_value_is_usage_error(self, tmp_path, capsys, task, section, key, value):
@@ -266,7 +274,7 @@ class TestConfigErrors:
             "numerics": {"times": "0:10:3"},
             "output": {"path": str(out)},
         }
-        sections[section][key] = value
+        sections.setdefault(section, {})[key] = value
         body = "".join(
             f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) + "\n"
             for name, keys in sections.items()

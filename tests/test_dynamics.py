@@ -17,6 +17,7 @@ from jtcqed import (
     correlation,
     evolve,
     expectation,
+    g2,
     identity,
     liouvillian_from_operators,
     number_operator,
@@ -195,6 +196,69 @@ class TestMethodResolution:
         assert np.allclose(second @ second, liou.propagator(4.0))
 
 
+class TestExpmScan:
+    BLOCK = 4
+
+    def scan_setup(self, rng, n_rows):
+        h = build_dimensionless_hamiltonian(SMALL, 0.2, 0.3)
+        liou = build_liouvillian(h, DissipationParams(kappa1=0.02, kappa2=0.01, gamma=0.01))
+        x0 = random_density(SMALL, rng).matrix.ravel(order="F")
+        rows = rng.standard_normal((n_rows, x0.size)) + 1j * rng.standard_normal((n_rows, x0.size))
+        return liou, x0, rows
+
+    @pytest.mark.parametrize("n_rows", [1, 2])
+    @pytest.mark.parametrize("n_steps", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_giant_steps_match_chain(self, rng, monkeypatch, n_steps, n_rows):
+        # scans shorter than the forced block run the chain; the others
+        # take giant steps
+        liou, x0, rows = self.scan_setup(rng, n_rows)
+        dt = 0.7
+        prop = liou.propagator(dt)
+        chain = [x0]
+        for _ in range(n_steps):
+            chain.append(prop @ chain[-1])
+        expected = rows @ np.array(chain).T
+        monkeypatch.setattr(dynamics, "_block_size", lambda side, steps, n: self.BLOCK)
+        values, states, x_final = dynamics._expm_scan(liou, x0, n_steps, dt, weight_rows=rows)
+        assert states is None
+        scale = np.abs(expected).max()
+        assert np.abs(values - expected).max() <= 1e-13 * scale
+        assert np.abs(x_final - chain[-1]).max() <= 1e-13 * np.abs(chain[-1]).max()
+
+    def test_kept_states_take_the_chain(self, rng, monkeypatch):
+        liou, x0, rows = self.scan_setup(rng, 1)
+        sizes = []
+        monkeypatch.setattr(
+            dynamics, "_block_size", lambda side, steps, n: sizes.append(steps) or self.BLOCK
+        )
+        _, states, x_final = dynamics._expm_scan(liou, x0, 9, 0.7, rows, keep_states=True)
+        assert sizes == []
+        assert len(states) == 10 and np.array_equal(states[-1], x_final)
+
+    def test_block_size_rule(self):
+        # 121-point transient scans run the chain; 16384-delay spectra take
+        # power-of-two giant steps no longer than the superoperator side
+        for n_rows in (1, 2):
+            assert dynamics._block_size(1024, 120, n_rows) == 121
+        for side in (1024, 2500):
+            m = dynamics._block_size(side, 16383, 1)
+            assert 2 <= m <= min(side, 16383)
+            assert m & (m - 1) == 0
+
+    def test_short_g2_scan_makes_no_matrix_power(self, monkeypatch):
+        h = build_dimensionless_hamiltonian(SMALL, 0.2, 0.3)
+        liou = build_liouvillian(h, DissipationParams(kappa1=0.02, kappa2=0.02))
+        rho0 = DensityMatrix.from_pure(SMALL, basis_ket(SMALL, [1, 0], ["e"]))
+        calls = []
+        matrix_power = np.linalg.matrix_power
+        monkeypatch.setattr(
+            np.linalg, "matrix_power", lambda a, n: calls.append(n) or matrix_power(a, n)
+        )
+        series = g2(liou, rho0, taus=np.linspace(0.0, 600.0, 121), reference=(0.0, rho0))
+        assert series.metadata["method"] == "expm"
+        assert calls == []
+
+
 class TestSteadyState:
     def test_empty_cavity(self):
         space, liou = thermal_cavity(kappa=0.01, n_th=0.0)
@@ -219,6 +283,32 @@ class TestSteadyState:
         liou = liouvillian_from_operators(h, [])
         with pytest.raises(DegenerateSteadyStateError):
             steady_state(liou)
+
+    def test_no_singular_value_decomposition(self, monkeypatch):
+        def svd(*args, **kwargs):
+            raise AssertionError("steady_state must not call np.linalg.svd")
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        _, liou = thermal_cavity()
+        assert liou.stationarity_residual(steady_state(liou)) <= 1e-10
+        h = random_hermitian(SMALL, np.random.default_rng(3))
+        with pytest.raises(DegenerateSteadyStateError):
+            steady_state(liouvillian_from_operators(h, []))
+
+    def dephasing_only(self):
+        # every diagonal state is stationary: kernel dimension d = 5
+        h = number_operator(CAVITY, 0)
+        return liouvillian_from_operators(h, [np.sqrt(0.01) * number_operator(CAVITY, 0)])
+
+    def test_dephasing_only_is_degenerate(self):
+        with pytest.raises(DegenerateSteadyStateError):
+            steady_state(self.dephasing_only())
+
+    def test_degenerate_above_dense_limit(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "DENSE_MAX_SIDE", 4)
+        for kernel_check in ("auto", "always"):
+            with pytest.raises(DegenerateSteadyStateError):
+                steady_state(self.dephasing_only(), kernel_check=kernel_check)
 
     def test_production_model_has_unique_mixed_steady_state(self):
         h = build_dimensionless_hamiltonian(SMALL, 0.05 / np.sqrt(2.0), 0.0)
