@@ -254,6 +254,7 @@ def power_spectrum(
         d_tau=d_tau,
         frequency_resolution=2.0 * math.pi / tau_max,
         c0=complex(corr.values[0]),
+        propagation_side=corr.metadata["propagation_side"],
     )
     # The nonnegativity floor is a property of fully decayed emission
     # correlations; truncation ringing from an undecayed window (already
@@ -378,7 +379,9 @@ def g2(
 
     seed = op.matrix @ rho_star.matrix @ op.matrix.conj().T
     weight = op.dag() @ op
-    method, values, _, _ = _propagate(liouvillian, _vec(seed), taus, method, [weight])
+    method, side, values, _, _ = _propagate(
+        liouvillian, _vec(seed), taus, method, [weight], final=False
+    )
     values = values[0].real
     values[0] = np.trace(weight.matrix @ seed).real
 
@@ -390,6 +393,7 @@ def g2(
             "target": target,
             "normalization": normalization,
             "method": method,
+            "propagation_side": side,
             "t_star": t_star,
             "settled": settled,
             "reference_occupation": nbar,
@@ -425,5 +429,9 @@ def imbalance(
     n2 = traj.expectations["n2"].real
     return ImbalanceSeries(
         traj.times, n1, n2,
-        metadata={"method": traj.method, "trace_drift": traj.trace_drift},
+        metadata={
+            "method": traj.method,
+            "propagation_side": traj.propagation_side,
+            "trace_drift": traj.trace_drift,
+        },
     )

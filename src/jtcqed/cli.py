@@ -137,6 +137,8 @@ def _run_spectrum(cfg: RunConfig) -> tuple[list[str], list, dict]:
     notes = {
         "warnings": list(series.warnings),
         "steady_state_purity": rho_ss.purity(),
+        "steady_state_blocks": len(liouvillian.blocks),
+        "propagation_side": series.metadata["propagation_side"],
         "frequency_resolution": series.metadata["frequency_resolution"],
         "peaks": [{"omega": w, "power": p} for w, p in peaks],
     }
@@ -165,6 +167,8 @@ def _run_g2(cfg: RunConfig) -> tuple[list[str], list, dict]:
         "normalization": cfg.g2_normalization,
         "reference_occupation_resonator": series_r.metadata["reference_occupation"],
         "reference_occupation_qubit": series_q.metadata["reference_occupation"],
+        "propagation_side_resonator": series_r.metadata["propagation_side"],
+        "propagation_side_qubit": series_q.metadata["propagation_side"],
     }
     return ["tau", "g2_resonator", "g2_qubit"], rows, notes
 
@@ -180,6 +184,7 @@ def _run_imbalance(cfg: RunConfig) -> tuple[list[str], list, dict]:
     tail = tail[np.isfinite(tail)]
     notes = {
         "method": series.metadata["method"],
+        "propagation_side": series.metadata["propagation_side"],
         "trace_drift": series.metadata["trace_drift"],
         "long_window_fraction": 0.2,
         "z_long_mean": float(tail.mean()) if tail.size else None,

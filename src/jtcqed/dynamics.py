@@ -4,16 +4,21 @@ The Liouvillian is represented two ways at once:
 
 * as its ingredients (Hamiltonian + scaled collapse operators), which drive a
   cheap matrix-shaped right-hand side for adaptive integration, and
-* as a dense superoperator of side ``total_dim**2`` in column-major
-  vectorization, materialized lazily, which powers the matrix-exponential
-  propagation path (one propagator per step size, kept between calls),
-  steady-state kernel solves and exactness oracles.
+* as a sparse superoperator of side ``total_dim**2`` in column-major
+  vectorization, assembled once and lazily. Its pattern splits into weakly
+  connected components; L has no entry between two of them, so each spans a
+  subspace that L and its transpose leave invariant (symmetry sectors such
+  as parity or a conserved coherence order, found from the operators, not
+  assumed). Dense blocks of it power the matrix-exponential propagation path
+  (one propagator per step size and block, kept between calls), the
+  steady-state solves and exactness oracles.
 
-Exponential scans step a state chain x <- P x, except long values-only
+Exponential scans run on the smallest union of blocks that holds the
+initial vector. They step a state chain x <- P x, except long values-only
 scans (correlations, observable records), which step the few weight rows by
 a power of P against baby-step state columns. The steady state is one LU
-solve of the trace-bordered superoperator, whose condition estimate is the
-uniqueness check.
+solve of the trace-bordered block that holds the populations; the condition
+estimates of that LU and of every other block's LU are the uniqueness check.
 
 Both propagation paths integrate the same generator; they are cross-checked
 against each other in the test suite.
@@ -28,6 +33,8 @@ from typing import Sequence
 import numpy as np
 import scipy.integrate
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.csgraph
 
 from .errors import (
     DegenerateSteadyStateError,
@@ -114,22 +121,60 @@ class Liouvillian:
         self._h = hamiltonian.matrix
         self._cs = [c.matrix for c in self.collapse_ops]
         self._cdcs = [c.conj().T @ c for c in self._cs]
+        self._sparse: scipy.sparse.csr_array | None = None
         self._matrix: np.ndarray | None = None
-        self._propagator: tuple[float, np.ndarray] | None = None
+        self._labels: np.ndarray | None = None
+        self._propagator: tuple[tuple[float, bytes | None], np.ndarray] | None = None
+
+    @property
+    def sparse(self) -> scipy.sparse.csr_array:
+        """Superoperator on column-major vectorized states, in CSR without stored zeros."""
+        if self._sparse is None:
+            d = self.space.total_dim
+            eye = scipy.sparse.eye_array(d, dtype=complex, format="csr")
+
+            def kron(a, b):
+                return scipy.sparse.kron(a, b, format="csr")
+
+            m = -1j * (kron(eye, self._h) - kron(self._h.T, eye))
+            for c, cdc in zip(self._cs, self._cdcs):
+                m = m + kron(c.conj(), c)
+                m = m - 0.5 * (kron(eye, cdc) + kron(cdc.T, eye))
+            m.eliminate_zeros()
+            self._sparse = m
+        return self._sparse
 
     @property
     def matrix(self) -> np.ndarray:
-        """Dense superoperator acting on column-major vectorized states."""
+        """Dense superoperator, read-only: :attr:`sparse` densified."""
         if self._matrix is None:
-            d = self.space.total_dim
-            eye = np.eye(d, dtype=complex)
-            m = -1j * (np.kron(eye, self._h) - np.kron(self._h.T, eye))
-            for c, cdc in zip(self._cs, self._cdcs):
-                m += np.kron(c.conj(), c)
-                m -= 0.5 * (np.kron(eye, cdc) + np.kron(cdc.T, eye))
+            m = self.sparse.toarray()
             m.setflags(write=False)
             self._matrix = m
         return self._matrix
+
+    @property
+    def blocks(self) -> list[np.ndarray]:
+        """Ascending index arrays of the weakly connected components of L's pattern."""
+        labels = self._block_labels()
+        order = np.argsort(labels, kind="stable")
+        return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+
+    def _block_labels(self) -> np.ndarray:
+        if self._labels is None:
+            _, self._labels = scipy.sparse.csgraph.connected_components(
+                abs(self.sparse), directed=True, connection="weak"
+            )
+        return self._labels
+
+    def invariant_block(self, x: np.ndarray) -> np.ndarray | None:
+        """Ascending indices of the union of blocks that hold the nonzero
+        entries of x, or None when that union is the whole space."""
+        labels = self._block_labels()
+        held = np.zeros(labels.max() + 1, dtype=bool)
+        held[labels[np.flatnonzero(x)]] = True
+        inside = held[labels]
+        return None if inside.all() else np.flatnonzero(inside)
 
     def apply(self, mat: np.ndarray) -> np.ndarray:
         """Apply the generator to a (not necessarily Hermitian) matrix."""
@@ -139,13 +184,20 @@ class Liouvillian:
             out -= 0.5 * (cdc @ mat + mat @ cdc)
         return out
 
-    def propagator(self, dt: float) -> np.ndarray:
-        """expm(L dt); the propagator of the last step size asked for is kept."""
-        if self._propagator is None or self._propagator[0] != dt:
+    def _dense_block(self, block: np.ndarray | None) -> np.ndarray:
+        """L, or its restriction to an invariant block, as a dense array."""
+        return self.matrix if block is None else self.sparse[block][:, block].toarray()
+
+    def propagator(self, dt: float, block: np.ndarray | None = None) -> np.ndarray:
+        """expm(L dt), or expm of L restricted to ``block`` (ascending indices
+        of an invariant subspace, as from :meth:`invariant_block`); the
+        propagator of the last step size and block asked for is kept."""
+        key = (dt, None if block is None else block.tobytes())
+        if self._propagator is None or self._propagator[0] != key:
             self._propagator = None  # release the old slot before building
-            prop = scipy.linalg.expm(self.matrix * dt)
+            prop = scipy.linalg.expm(self._dense_block(block) * dt)
             prop.setflags(write=False)
-            self._propagator = (dt, prop)
+            self._propagator = (key, prop)
         return self._propagator[1]
 
     def stationarity_residual(self, rho: DensityMatrix) -> float:
@@ -210,7 +262,9 @@ class Trajectory:
     Either the full state at every requested time (``states``) or expectation
     records for pre-registered observables (``expectations``) are stored; the
     final state is always available. ``method`` is the propagation path
-    taken, "expm" or "adaptive".
+    taken, "expm" or "adaptive", and ``propagation_side`` the side of the
+    space it propagated on: an invariant block of the superoperator on the
+    "expm" path, the whole superoperator on the adaptive one.
     """
 
     times: np.ndarray
@@ -219,6 +273,7 @@ class Trajectory:
     expectations: dict[str, np.ndarray] | None = None
     trace_drift: float = 0.0
     method: str = "adaptive"
+    propagation_side: int | None = None
 
 
 def check_time_grid(times) -> np.ndarray:
@@ -270,8 +325,12 @@ def _expm_scan(
     dt: float,
     weight_rows: np.ndarray | None = None,
     keep_states: bool = False,
+    block: np.ndarray | None = None,
+    final: bool = True,
 ):
-    """Propagate x0 through n_steps of P = expm(L dt).
+    """Propagate x0 through n_steps of P = expm(L dt), or of the propagator
+    of L restricted to ``block`` when x0 and the weight rows are restricted
+    to that invariant block.
 
     Returns (values, states, x_final) where ``values[r, k]`` is
     weight_rows[r] . x(k dt) including k = 0, and ``states`` collects every
@@ -279,7 +338,9 @@ def _expm_scan(
     plain chain x <- P x. A values-only scan whose cost model (see
     :func:`_block_size`) favours it splits k = a m + b instead: it keeps the
     baby-step states P^b x0 as columns and steps the weight rows by P^m, so
-    values[:, a m + b] = (W P^(a m)) (P^b x0).
+    values[:, a m + b] = (W P^(a m)) (P^b x0). That path reaches x_final by
+    further giant steps only when ``final`` is set, and returns None for it
+    otherwise.
     """
     values = None
     if weight_rows is not None:
@@ -289,7 +350,7 @@ def _expm_scan(
     if n_steps == 0:
         return values, states, x0.copy()
 
-    prop = liouvillian.propagator(dt)
+    prop = liouvillian.propagator(dt, block)
     m = n_steps + 1
     if weight_rows is not None and not keep_states:
         m = _block_size(x0.size, n_steps, weight_rows.shape[0])
@@ -316,6 +377,8 @@ def _expm_scan(
             rows = rows @ prop_m
         take = min(m, n_steps + 1 - first)
         values[:, first : first + take] = rows @ cols[:, :take]
+    if not final:
+        return values, states, None
     giant, b = divmod(n_steps, m)
     x_final = cols[:, b].copy()
     for _ in range(giant):
@@ -349,6 +412,12 @@ def _adaptive_scan(
     return sol.y
 
 
+def _embed(x: np.ndarray, block: np.ndarray, size: int) -> np.ndarray:
+    full = np.zeros(size, dtype=complex)
+    full[block] = x
+    return full
+
+
 def _propagate(
     liouvillian: Liouvillian,
     x0: np.ndarray,
@@ -358,13 +427,19 @@ def _propagate(
     keep_states: bool = False,
     rtol: float = RTOL,
     atol: float = ATOL,
+    final: bool = True,
 ):
     """Propagate the vectorized state x0 over a checked time grid.
 
     ``method="auto"`` takes exponential stepping on uniform grids of at
-    least 3 points, adaptive integration otherwise. Returns the resolved
-    method, tr(weight_ops[r] x(times[k])) as ``values[r, k]`` (or None),
-    every x(t) when ``keep_states`` (or None), and x at the last time.
+    least 3 points, adaptive integration otherwise. Exponential stepping
+    runs on the union of invariant blocks that holds the nonzero entries of
+    x0 (:meth:`Liouvillian.invariant_block`): x0 and the weight rows are
+    restricted to it and the kept states and x_final embedded back. Returns
+    the resolved method, the side of the space propagated on,
+    tr(weight_ops[r] x(times[k])) as ``values[r, k]`` (or None), every x(t)
+    when ``keep_states`` (or None), and x at the last time (None on the
+    exponential path when ``final`` is not set and the scan took giant steps).
     """
     if method == "auto":
         method = "expm" if times.size >= 3 and _is_uniform(times) else "adaptive"
@@ -375,14 +450,25 @@ def _propagate(
                 raise ValueError("weight operator lives on a different space")
         weight_rows = np.stack([_vec(np.ascontiguousarray(op.matrix.T)) for op in weight_ops])
 
+    side = x0.size
     if method == "expm":
         if not _is_uniform(times):
             raise ValueError("expm propagation requires a uniform time grid")
         dt = float(times[1] - times[0]) if times.size > 1 else 0.0
+        block = liouvillian.invariant_block(x0)
+        if block is not None:
+            x0 = x0[block]
+            weight_rows = weight_rows[:, block] if weight_rows is not None else None
         values, columns, x_final = _expm_scan(
             liouvillian, x0, times.size - 1, dt,
-            weight_rows=weight_rows, keep_states=keep_states,
+            weight_rows=weight_rows, keep_states=keep_states, block=block, final=final,
         )
+        if block is not None:
+            if columns is not None:
+                columns = [_embed(c, block, side) for c in columns]
+            if x_final is not None:
+                x_final = _embed(x_final, block, side)
+            side = block.size
     elif method == "adaptive":
         y = _adaptive_scan(liouvillian, x0, times, rtol, atol)
         values = weight_rows @ y if weight_rows is not None else None
@@ -390,7 +476,7 @@ def _propagate(
         x_final = y[:, -1]
     else:
         raise ValueError(f"unknown propagation method {method!r}")
-    return method, values, columns, x_final
+    return method, side, values, columns, x_final
 
 
 def evolve(
@@ -420,7 +506,7 @@ def evolve(
         method = "adaptive"
     keep_states = observables is None
     names = list(observables or ())
-    method, values, columns, x_final = _propagate(
+    method, side, values, columns, x_final = _propagate(
         liouvillian, x0, times, method,
         weight_ops=[observables[name] for name in names],
         keep_states=keep_states, rtol=rtol, atol=atol,
@@ -448,6 +534,7 @@ def evolve(
         expectations=expectations,
         trace_drift=trace_drift,
         method=method,
+        propagation_side=side,
     )
 
 
@@ -455,31 +542,9 @@ def _sym(mat: np.ndarray) -> np.ndarray:
     return (mat + mat.conj().T) / 2.0
 
 
-def steady_state(liouvillian: Liouvillian, kernel_check: str = "auto") -> DensityMatrix:
-    """Unique stationary state, via a trace-constrained kernel solve.
-
-    The first row of the superoperator (a redundant row: the trace functional
-    annihilates the generator) is replaced by the trace constraint and the
-    resulting system solved by LU. The bordered system is singular exactly
-    when the kernel has dimension > 1, so the kernel check is LAPACK's
-    reciprocal-condition estimate of that LU, O(n^2) after the factorization:
-    below n * eps the steady state is reported as not unique, never silently
-    resolved. ``kernel_check`` is "auto" or "always" (the same: the check runs
-    at every size) or "never". A generator without a kernel fails the
-    stationarity-residual check that follows the solve.
-    """
-    lmat = liouvillian.matrix
-    n = lmat.shape[0]
-    d = liouvillian.space.total_dim
-
-    if kernel_check not in ("auto", "always", "never"):
-        raise ValueError("kernel_check must be 'auto', 'always' or 'never'")
-
-    m = np.array(lmat, dtype=complex)
-    trace_row = _vec(np.eye(d, dtype=complex))
-    m[0, :] = trace_row
-    b = np.zeros(n, dtype=complex)
-    b[0] = 1.0
+def _checked_lu(m: np.ndarray, kernel_check: str, what: str):
+    """LU of m; unless ``kernel_check`` is "never", raises when LAPACK's
+    reciprocal-condition estimate of it is below side * eps."""
     try:
         lu, piv = scipy.linalg.lu_factor(m)
     except scipy.linalg.LinAlgError as exc:
@@ -487,18 +552,68 @@ def steady_state(liouvillian: Liouvillian, kernel_check: str = "auto") -> Densit
     if kernel_check != "never":
         gecon = scipy.linalg.get_lapack_funcs("gecon", (lu,))
         rcond, _ = gecon(lu, np.linalg.norm(m, 1), norm="1")
-        if not rcond >= n * np.finfo(float).eps:
+        if not rcond >= m.shape[0] * np.finfo(float).eps:
             raise DegenerateSteadyStateError(
-                f"kernel dimension > 1 (reciprocal condition {rcond:.3e} of the "
-                "trace-bordered system); steady state is not unique"
+                f"kernel dimension > 1 (reciprocal condition {rcond:.3e} of {what}); "
+                "steady state is not unique"
             )
-    x = scipy.linalg.lu_solve((lu, piv), b)
+    return lu, piv
+
+
+def steady_state(liouvillian: Liouvillian, kernel_check: str = "auto") -> DensityMatrix:
+    """Unique stationary state, via a trace-constrained kernel solve per block.
+
+    The kernel of L is the direct sum of the kernels of its invariant blocks
+    (:attr:`Liouvillian.blocks`). Every block that holds a population
+    carries the trace functional and so a stationary state: populations in
+    more than one block mean a kernel of dimension > 1. In the one block
+    that holds them, the first row (a redundant row: the trace functional
+    annihilates the generator) is replaced by the trace constraint and the
+    resulting system solved by LU. That bordered system is singular exactly
+    when the block's kernel has dimension > 1, and every other block is
+    singular exactly when it holds a stationary coherence; so the kernel
+    check is LAPACK's reciprocal-condition estimate of each block's LU,
+    O(n_b^2) after the factorization: below n_b * eps the steady state is
+    reported as not unique, never silently resolved. ``kernel_check`` is
+    "auto" or "always" (the same: every block is factored and checked at
+    every size) or "never" (only the population block is factored, and not
+    checked). A generator without a kernel fails the stationarity-residual
+    check that follows the solve.
+    """
+    if kernel_check not in ("auto", "always", "never"):
+        raise ValueError("kernel_check must be 'auto', 'always' or 'never'")
+    d = liouvillian.space.total_dim
+    blocks = liouvillian.blocks
+    populations = _vec(np.eye(d, dtype=bool))
+    held = [block for block in blocks if populations[block].any()]
+    if len(held) > 1:
+        raise DegenerateSteadyStateError(
+            f"the populations fall in {len(held)} invariant blocks of the generator, "
+            "each with its own stationary state; steady state is not unique"
+        )
+    (block,) = held
+    whole = len(blocks) == 1
+    # The block is ascending and index 0 (rho[0, 0]) is a population, so its
+    # first row is the one the trace row replaces.
+    m = np.array(liouvillian._dense_block(None if whole else block), dtype=complex)
+    m[0, :] = populations[block]
+    b = np.zeros(block.size, dtype=complex)
+    b[0] = 1.0
+    lu = _checked_lu(m, kernel_check, "the trace-bordered system")
+    if kernel_check != "never":
+        for other in blocks:
+            if other is not block:
+                _checked_lu(
+                    liouvillian._dense_block(other), kernel_check,
+                    f"an invariant block of side {other.size}",
+                )
+    x = scipy.linalg.lu_solve(lu, b)
     # One refinement pass tightens the residual at negligible cost.
-    x += scipy.linalg.lu_solve((lu, piv), b - m @ x)
+    x += scipy.linalg.lu_solve(lu, b - m @ x)
     if not np.all(np.isfinite(x)):
         raise DegenerateSteadyStateError("kernel solve produced non-finite values")
 
-    rho = _sym(_unvec(x, d))
+    rho = _sym(_unvec(_embed(x, block, d * d), d))
     rho /= np.trace(rho).real
     residual = float(np.abs(liouvillian.apply(rho)).max())
     if residual > STEADY_RESIDUAL_TOL:
@@ -536,11 +651,17 @@ def correlation(
     taus = check_time_grid(taus)
 
     seed = b_op.matrix @ rho_ss.matrix
-    method, values, _, _ = _propagate(liouvillian, _vec(seed), taus, method, [a_op])
+    method, side, values, _, _ = _propagate(
+        liouvillian, _vec(seed), taus, method, [a_op], final=False
+    )
     values = np.array(values[0], dtype=complex)
     values[0] = np.trace(a_op.matrix @ seed)
     return CorrelationSeries(
         taus,
         values,
-        metadata={"method": method, "stationarity_residual": residual},
+        metadata={
+            "method": method,
+            "propagation_side": side,
+            "stationarity_residual": residual,
+        },
     )

@@ -1,8 +1,9 @@
 """Operator algebra on the composite Hilbert space (Fock modes + qubits).
 
-Everything is dense: the largest space used anywhere in the package is a few
-tens of dimensions, where dense eigensolves and superoperator builds are cheap
-and far easier to reason about than sparse formats.
+Operators are dense: the largest space used anywhere in the package is a few
+tens of dimensions, where dense eigensolves and products are cheap. Only the
+superoperator, whose side is the square of that, is assembled sparse (in
+``dynamics``).
 
 The tensor-factor ordering is fixed at construction time: Fock modes first
 (in the order given), qubits last. All operators carry the ``SpaceSpec`` they

@@ -318,6 +318,7 @@ class TestTaskRuns:
         manifest = json.loads((tmp_path / "imb.manifest.json").read_text())
         assert "z_long_mean" in manifest["notes"]
         assert manifest["notes"]["method"] == "expm"
+        assert manifest["notes"]["propagation_side"] == 64
 
     def test_imbalance_missing_values_are_empty_fields(self, tmp_path):
         out = tmp_path / "imb.csv"
@@ -381,6 +382,8 @@ class TestTaskRuns:
         assert manifest["notes"]["t_star"] == 0.0
         assert manifest["notes"]["reference_policy"] == "initial_state"
         assert manifest["notes"]["method"] == "expm"
+        assert manifest["notes"]["propagation_side_resonator"] == 64
+        assert manifest["notes"]["propagation_side_qubit"] == 64
 
     @pytest.mark.parametrize(
         "task, times, method, honoured",
@@ -539,6 +542,10 @@ class TestTaskRuns:
         assert len(lines) == 2049
         manifest = json.loads((tmp_path / "spec.manifest.json").read_text())
         assert manifest["notes"]["peaks"]
+        # J = delta = 0: mode 2 decouples, and L splits by its coherence
+        # order n2 - n2' in -2..2; the seed a rho_ss lies in order 0
+        assert manifest["notes"]["steady_state_blocks"] == 5
+        assert manifest["notes"]["propagation_side"] == 3 * 6**2
         omegas = np.array([float(line.split(",")[0]) for line in lines[1:]])
         assert np.all(np.diff(omegas) > 0)
 

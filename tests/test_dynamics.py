@@ -8,6 +8,7 @@ from jtcqed import (
     DensityMatrix,
     DissipationParams,
     NonStationaryStateError,
+    QOperator,
     SpaceSpec,
     ValidationError,
     annihilation,
@@ -21,6 +22,7 @@ from jtcqed import (
     identity,
     liouvillian_from_operators,
     number_operator,
+    pauli,
     steady_state,
 )
 
@@ -74,6 +76,146 @@ class TestBuildLiouvillian:
         vec = rho.matrix.ravel(order="F")
         via_matrix = (liou.matrix @ vec).reshape((5, 5), order="F")
         assert np.allclose(via_matrix, liou.apply(rho.matrix), atol=1e-13)
+
+    def test_sparse_matches_kron_formula(self, rng):
+        # reference: the dense Kronecker assembly, in the same operation order
+        h = random_hermitian(SMALL, rng)
+        n = SMALL.total_dim
+        cs = [
+            QOperator(SMALL, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            for _ in range(2)
+        ]
+        liou = liouvillian_from_operators(h, cs)
+        eye = np.eye(n, dtype=complex)
+        m = -1j * (np.kron(eye, h.matrix) - np.kron(h.matrix.T, eye))
+        for c in cs:
+            cdc = c.matrix.conj().T @ c.matrix
+            m += np.kron(c.matrix.conj(), c.matrix)
+            m -= 0.5 * (np.kron(eye, cdc) + np.kron(cdc.T, eye))
+        assert np.array_equal(liou.sparse.toarray(), m)
+        assert np.array_equal(liou.matrix, m)
+        assert not liou.matrix.flags.writeable
+
+
+BLOCK_SPACE = SpaceSpec((3, 3), 1)
+
+
+def levels(op):
+    """Integer eigenvalues of a diagonal operator, in basis order."""
+    return np.rint(np.diag(op.matrix).real).astype(int)
+
+
+def sector_partition(labels):
+    """The partition of superoperator indices by a label, as a set of sets."""
+    return {frozenset(np.flatnonzero(labels == v)) for v in np.unique(labels)}
+
+
+class TestInvariantBlocks:
+    def blocks(self, **model):
+        h = build_dimensionless_hamiltonian(BLOCK_SPACE, 0.05 / np.sqrt(2.0), **model)
+        liou = build_liouvillian(h, DissipationParams())
+        return liou, {frozenset(block) for block in liou.blocks}
+
+    def test_linear_model_splits_by_parity(self):
+        _, blocks = self.blocks(delta=0.0, include_quadratic=False, j_override=0.5)
+        n1, n2 = (levels(number_operator(BLOCK_SPACE, j)) for j in (0, 1))
+        parity = (-1) ** (n1 + n2) * levels(pauli(BLOCK_SPACE, "z"))
+        side = BLOCK_SPACE.total_dim**2
+        assert sorted(len(block) for block in blocks) == [side // 2, side // 2]
+        assert blocks == sector_partition(np.outer(parity, parity).ravel(order="F"))
+
+    def test_decoupled_mode_splits_by_coherence_order(self):
+        # J = delta = 0: mode 2 only feels its own bath, which conserves n2 - n2'
+        _, blocks = self.blocks(delta=0.0)
+        n2 = levels(number_operator(BLOCK_SPACE, 1))
+        assert len(blocks) == 2 * 3 - 1
+        # rho[i, j] sits at column-major index i + j d
+        assert blocks == sector_partition(np.subtract.outer(n2, n2).ravel(order="F"))
+
+    def test_full_model_off_resonance_is_one_block(self):
+        liou, blocks = self.blocks(delta=0.3)
+        assert len(blocks) == 1
+        rho0 = DensityMatrix.from_pure(BLOCK_SPACE, basis_ket(BLOCK_SPACE, [1, 0], ["e"]))
+        assert liou.invariant_block(rho0.matrix.ravel(order="F")) is None
+
+    def test_invariant_block_is_union_of_held_blocks(self):
+        liou, _ = self.blocks(delta=0.0, include_quadratic=False, j_override=0.5)
+        x = np.zeros(BLOCK_SPACE.total_dim**2, dtype=complex)
+        x[0] = 1.0  # a population: the parity-even block
+        block = liou.invariant_block(x)
+        assert block.size == x.size // 2 and block[0] == 0
+        x[1] = 1e-300  # rho[1, 0]: parity-odd, held however small
+        assert liou.invariant_block(x) is None
+
+
+class TestBlockPropagation:
+    """Block-restricted scans against a full-space one-shot expm(L t) oracle."""
+
+    def linear(self):
+        h = build_dimensionless_hamiltonian(
+            BLOCK_SPACE, 0.1, 0.0, include_quadratic=False, j_override=0.5
+        )
+        return build_liouvillian(h, DissipationParams(kappa1=0.02, kappa2=0.01, gamma=0.01))
+
+    def oracle(self, liou, x0, t):
+        return scipy.linalg.expm(liou.matrix * t) @ x0
+
+    def test_correlation_matches_oracle(self):
+        liou = self.linear()
+        rho = steady_state(liou)
+        a = annihilation(BLOCK_SPACE, 0)
+        taus = np.linspace(0.0, 40.0, 9)
+        series = correlation(liou, rho, a.dag(), a, taus, method="expm")
+        side = BLOCK_SPACE.total_dim**2
+        assert series.metadata["propagation_side"] == side // 2
+        x0 = (a.matrix @ rho.matrix).ravel(order="F")
+        row = a.dag().matrix.T.ravel(order="F")
+        oracle = np.array([row @ self.oracle(liou, x0, t) for t in taus])
+        assert np.abs(series.values - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+    def test_evolve_matches_oracle(self, monkeypatch):
+        liou = self.linear()
+        d = BLOCK_SPACE.total_dim
+        rho0 = DensityMatrix.from_pure(BLOCK_SPACE, basis_ket(BLOCK_SPACE, [1, 0], ["e"]))
+        x0 = rho0.matrix.ravel(order="F")
+        times = np.linspace(0.0, 40.0, 9)
+        traj = evolve(liou, rho0, times, method="expm")
+        assert traj.propagation_side == d * d // 2
+        for t, state in zip(times, traj.states):
+            oracle = self.oracle(liou, x0, t).reshape((d, d), order="F")
+            assert np.abs(state.matrix - oracle).max() <= 1e-12
+        # values-only on giant steps: the final state is embedded back too
+        monkeypatch.setattr(dynamics, "_block_size", lambda side, steps, n: 4)
+        n1 = number_operator(BLOCK_SPACE, 0)
+        traj = evolve(liou, rho0, times, method="expm", observables={"n1": n1})
+        oracle = self.oracle(liou, x0, times[-1]).reshape((d, d), order="F")
+        assert np.abs(traj.final_state.matrix - oracle).max() <= 1e-12
+        assert traj.expectations["n1"][-1] == pytest.approx(
+            np.trace(n1.matrix @ oracle), abs=1e-12
+        )
+
+    def test_discarded_final_state_is_not_stepped(self, rng, monkeypatch):
+        liou = self.linear()
+        x0 = random_density(BLOCK_SPACE, rng).matrix.ravel(order="F")
+        rows = rng.standard_normal((1, x0.size)).astype(complex)
+        monkeypatch.setattr(dynamics, "_block_size", lambda side, steps, n: 4)
+        kept = dynamics._expm_scan(liou, x0, 11, 0.7, rows)
+        dropped = dynamics._expm_scan(liou, x0, 11, 0.7, rows, final=False)
+        assert dropped[2] is None
+        assert np.array_equal(kept[0], dropped[0])
+
+    def test_propagator_kept_per_block(self, monkeypatch):
+        liou = self.linear()
+        even, odd = liou.blocks if liou.blocks[0][0] == 0 else liou.blocks[::-1]
+        calls = []
+        expm = scipy.linalg.expm
+        monkeypatch.setattr(scipy.linalg, "expm", lambda m: calls.append(m.shape) or expm(m))
+        first = liou.propagator(0.5, even)
+        assert liou.propagator(0.5, even.copy()) is first
+        assert liou.propagator(0.5, odd) is not first
+        full = liou.propagator(0.5)
+        assert calls == [(even.size,) * 2, (odd.size,) * 2, (2 * even.size,) * 2]
+        assert np.abs(full[np.ix_(odd, odd)] - liou.propagator(0.5, odd)).max() <= 1e-14
 
 
 class TestEvolve:
@@ -303,6 +445,32 @@ class TestSteadyState:
     def test_dephasing_only_is_degenerate(self):
         with pytest.raises(DegenerateSteadyStateError):
             steady_state(self.dephasing_only())
+
+    def test_stationary_coherence_is_degenerate(self):
+        # H = 0, collapse sqrt(gamma) sigma_x: populations and coherences form
+        # two blocks, and sigma_x (a coherence) is stationary beside 1/2
+        space = SpaceSpec((), 1)
+        h = QOperator(space, np.zeros((2, 2), dtype=complex))
+        liou = liouvillian_from_operators(h, [np.sqrt(0.01) * pauli(space, "x")])
+        assert sorted(len(block) for block in liou.blocks) == [2, 2]
+        for kernel_check in ("auto", "always"):
+            with pytest.raises(DegenerateSteadyStateError):
+                steady_state(liou, kernel_check=kernel_check)
+
+    def test_factors_every_block(self, monkeypatch):
+        h = build_dimensionless_hamiltonian(BLOCK_SPACE, 0.05, 0.0)
+        liou = build_liouvillian(h, DissipationParams())
+        calls = []
+        lu_factor = scipy.linalg.lu_factor
+        monkeypatch.setattr(
+            scipy.linalg, "lu_factor", lambda m: calls.append(m.shape[0]) or lu_factor(m)
+        )
+        rho = steady_state(liou)
+        assert sorted(calls) == sorted(block.size for block in liou.blocks)
+        assert len(calls) == 5
+        calls.clear()
+        assert np.abs(steady_state(liou, kernel_check="never").matrix - rho.matrix).max() == 0
+        assert len(calls) == 1
 
     def test_degenerate_above_dense_limit(self, monkeypatch):
         monkeypatch.setattr(dynamics, "DENSE_MAX_SIDE", 4)
