@@ -58,6 +58,14 @@ class TestBuildLiouvillian:
         with pytest.raises(ValidationError):
             build_liouvillian(QOperator(SMALL, m), DissipationParams())
 
+    def test_non_hermitian_generator_has_no_real_propagator(self):
+        # the constructor itself does not check H; the real-basis propagator does
+        m = np.zeros((8, 8), dtype=complex)
+        m[0, 3] = 1.0
+        liou = dynamics.Liouvillian(SMALL, QOperator(SMALL, m), [])
+        with pytest.raises(ValidationError):
+            liou.propagator(0.5)
+
     def test_trace_row_annihilates_generator(self, rng):
         h = build_dimensionless_hamiltonian(SMALL, 0.2, 0.3)
         liou = build_liouvillian(h, DissipationParams())
@@ -160,6 +168,42 @@ class TestBlockPropagation:
     def oracle(self, liou, x0, t):
         return scipy.linalg.expm(liou.matrix * t) @ x0
 
+    def assert_propagator_matches_complex_expm(self, liou, dt, block=None):
+        oracle = scipy.linalg.expm(liou._dense_block(block) * dt)
+        prop = liou.propagator(dt, block)
+        assert np.abs(prop - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+    def test_propagator_matches_complex_expm(self):
+        # the whole space of a one-block full model, and both parity blocks
+        h = build_dimensionless_hamiltonian(BLOCK_SPACE, 0.1, 0.3)
+        full = build_liouvillian(h, DissipationParams(kappa1=0.02, kappa2=0.01, gamma=0.01))
+        assert len(full.blocks) == 1
+        self.assert_propagator_matches_complex_expm(full, 7.0)
+        liou = self.linear()
+        for block in liou.blocks:
+            self.assert_propagator_matches_complex_expm(liou, 7.0, block)
+
+    def test_open_block_seed_propagates_on_closed_union(self):
+        # J = delta = 0: a2 rho_ss lies in one coherence-order sector of mode 2,
+        # which transposition maps onto the opposite sector
+        h = build_dimensionless_hamiltonian(BLOCK_SPACE, 0.05, 0.0)
+        liou = build_liouvillian(h, DissipationParams(kappa1=0.02, kappa2=0.01, gamma=0.01))
+        rho = steady_state(liou)
+        a2 = annihilation(BLOCK_SPACE, 1)
+        x0 = (a2.matrix @ rho.matrix).ravel(order="F")
+        sector = next(b for b in liou.blocks if np.isin(np.flatnonzero(x0), b).all())
+        block = liou.invariant_block(x0)
+        assert block.size == 2 * sector.size
+        with pytest.raises(ValidationError):
+            liou.propagator(7.0, sector)
+        self.assert_propagator_matches_complex_expm(liou, 7.0, block)
+        taus = np.linspace(0.0, 40.0, 9)
+        series = correlation(liou, rho, a2.dag(), a2, taus, method="expm")
+        assert series.metadata["propagation_side"] == block.size
+        row = a2.dag().matrix.T.ravel(order="F")
+        oracle = np.array([row @ self.oracle(liou, x0, t) for t in taus])
+        assert np.abs(series.values - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
     def test_correlation_matches_oracle(self):
         liou = self.linear()
         rho = steady_state(liou)
@@ -209,12 +253,17 @@ class TestBlockPropagation:
         even, odd = liou.blocks if liou.blocks[0][0] == 0 else liou.blocks[::-1]
         calls = []
         expm = scipy.linalg.expm
-        monkeypatch.setattr(scipy.linalg, "expm", lambda m: calls.append(m.shape) or expm(m))
+        monkeypatch.setattr(
+            scipy.linalg, "expm", lambda m: calls.append((m.shape, m.dtype)) or expm(m)
+        )
         first = liou.propagator(0.5, even)
         assert liou.propagator(0.5, even.copy()) is first
         assert liou.propagator(0.5, odd) is not first
         full = liou.propagator(0.5)
-        assert calls == [(even.size,) * 2, (odd.size,) * 2, (2 * even.size,) * 2]
+        assert [shape for shape, _ in calls] == [
+            (even.size,) * 2, (odd.size,) * 2, (2 * even.size,) * 2
+        ]
+        assert all(dtype == np.float64 for _, dtype in calls)
         assert np.abs(full[np.ix_(odd, odd)] - liou.propagator(0.5, odd)).max() <= 1e-14
 
 
@@ -453,9 +502,13 @@ class TestSteadyState:
         h = QOperator(space, np.zeros((2, 2), dtype=complex))
         liou = liouvillian_from_operators(h, [np.sqrt(0.01) * pauli(space, "x")])
         assert sorted(len(block) for block in liou.blocks) == [2, 2]
-        for kernel_check in ("auto", "always"):
-            with pytest.raises(DegenerateSteadyStateError):
-                steady_state(liou, kernel_check=kernel_check)
+        with pytest.raises(DegenerateSteadyStateError):
+            steady_state(liou, kernel_check="always")
+
+    def test_auto_is_not_a_kernel_check(self):
+        _, liou = thermal_cavity()
+        with pytest.raises(ValueError):
+            steady_state(liou, kernel_check="auto")
 
     def test_factors_every_block(self, monkeypatch):
         h = build_dimensionless_hamiltonian(BLOCK_SPACE, 0.05, 0.0)
@@ -474,9 +527,8 @@ class TestSteadyState:
 
     def test_degenerate_above_dense_limit(self, monkeypatch):
         monkeypatch.setattr(dynamics, "DENSE_MAX_SIDE", 4)
-        for kernel_check in ("auto", "always"):
-            with pytest.raises(DegenerateSteadyStateError):
-                steady_state(self.dephasing_only(), kernel_check=kernel_check)
+        with pytest.raises(DegenerateSteadyStateError):
+            steady_state(self.dephasing_only(), kernel_check="always")
 
     def test_production_model_has_unique_mixed_steady_state(self):
         h = build_dimensionless_hamiltonian(SMALL, 0.05 / np.sqrt(2.0), 0.0)
