@@ -1,17 +1,16 @@
 """Lindblad open-system engine.
 
-The Liouvillian is represented two ways at once:
-
-* as its ingredients (Hamiltonian + scaled collapse operators), which drive a
-  cheap matrix-shaped right-hand side for adaptive integration, and
-* as a sparse superoperator of side ``total_dim**2`` in column-major
-  vectorization, assembled once and lazily. Its pattern splits into weakly
-  connected components; L has no entry between two of them, so each spans a
-  subspace that L and its transpose leave invariant (symmetry sectors such
-  as parity or a conserved coherence order, found from the operators, not
-  assumed). Dense blocks of it power the matrix-exponential propagation path
-  (one propagator per step size and block, kept between calls), the
-  steady-state solves and exactness oracles.
+The Liouvillian has one form: a sparse superoperator of side
+``total_dim**2`` in column-major vectorization, assembled once and lazily
+from the Hamiltonian and the scaled collapse operators. Every application of
+the generator, including each right-hand-side evaluation of the adaptive
+integrator and each stationarity residual, is one CSR mat-vec with it. Its
+pattern splits into weakly connected components; L has no entry between two
+of them, so each spans a subspace that L and its transpose leave invariant
+(symmetry sectors such as parity or a conserved coherence order, found from
+the operators, not assumed). Dense blocks of it power the matrix-exponential
+propagation path (one propagator per step size and block, kept between
+calls) and the steady-state solves.
 
 L maps Hermitian matrices to Hermitian matrices, so its matrix in an
 orthonormal Hermitian operator basis (rho_ii, sqrt(2) Re rho_ij and
@@ -27,7 +26,7 @@ columns. The steady state is one LU solve of the trace-bordered block that
 holds the populations; the condition estimates of that LU and of every other
 block's LU are the uniqueness check.
 
-Both propagation paths integrate the same generator; they are cross-checked
+Both propagation paths read the same CSR generator; they are cross-checked
 against each other in the test suite.
 """
 
@@ -125,9 +124,6 @@ class Liouvillian:
         self.hamiltonian = hamiltonian
         self.collapse_ops = tuple(collapse_ops)
         self.dissipation = dissipation
-        self._h = hamiltonian.matrix
-        self._cs = [c.matrix for c in self.collapse_ops]
-        self._cdcs = [c.conj().T @ c for c in self._cs]
         self._sparse: scipy.sparse.csr_array | None = None
         self._matrix: np.ndarray | None = None
         self._labels: np.ndarray | None = None
@@ -143,8 +139,10 @@ class Liouvillian:
             def kron(a, b):
                 return scipy.sparse.kron(a, b, format="csr")
 
-            m = -1j * (kron(eye, self._h) - kron(self._h.T, eye))
-            for c, cdc in zip(self._cs, self._cdcs):
+            h = self.hamiltonian.matrix
+            m = -1j * (kron(eye, h) - kron(h.T, eye))
+            for c in (op.matrix for op in self.collapse_ops):
+                cdc = c.conj().T @ c
                 m = m + kron(c.conj(), c)
                 m = m - 0.5 * (kron(eye, cdc) + kron(cdc.T, eye))
             m.eliminate_zeros()
@@ -153,7 +151,8 @@ class Liouvillian:
 
     @property
     def matrix(self) -> np.ndarray:
-        """Dense superoperator, read-only: :attr:`sparse` densified."""
+        """Dense superoperator, read-only and cached: :attr:`sparse` densified,
+        an oracle for tests that no package code reads."""
         if self._matrix is None:
             m = self.sparse.toarray()
             m.setflags(write=False)
@@ -193,16 +192,13 @@ class Liouvillian:
         return None if inside.all() else np.flatnonzero(inside)
 
     def apply(self, mat: np.ndarray) -> np.ndarray:
-        """Apply the generator to a (not necessarily Hermitian) matrix."""
-        out = -1j * (self._h @ mat - mat @ self._h)
-        for c, cdc in zip(self._cs, self._cdcs):
-            out += c @ mat @ c.conj().T
-            out -= 0.5 * (cdc @ mat + mat @ cdc)
-        return out
+        """Apply the generator to a (not necessarily Hermitian) matrix: one
+        mat-vec with :attr:`sparse`."""
+        return _unvec(self.sparse @ _vec(mat), self.space.total_dim)
 
     def _dense_block(self, block: np.ndarray | None) -> np.ndarray:
-        """L, or its restriction to an invariant block, as a dense array."""
-        return self.matrix if block is None else self.sparse[block][:, block].toarray()
+        """L, or its restriction to an invariant block, as a fresh dense array."""
+        return (self.sparse if block is None else self.sparse[block][:, block]).toarray()
 
     def _real_basis(self, block: np.ndarray | None):
         """Positions in ``block`` (None: the whole space) of rho_ii, and of
@@ -670,7 +666,7 @@ def steady_state(liouvillian: Liouvillian, kernel_check: str = "always") -> Dens
     whole = len(blocks) == 1
     # The block is ascending and index 0 (rho[0, 0]) is a population, so its
     # first row is the one the trace row replaces.
-    m = np.array(liouvillian._dense_block(None if whole else block), dtype=complex)
+    m = liouvillian._dense_block(None if whole else block)
     m[0, :] = populations[block]
     b = np.zeros(block.size, dtype=complex)
     b[0] = 1.0

@@ -79,11 +79,21 @@ class TestBuildLiouvillian:
         assert np.linalg.eigvals(liou.matrix).real.max() <= 1e-10
 
     def test_matrix_matches_elementwise_action(self, rng):
-        _, liou = thermal_cavity(kappa=0.05)
-        rho = random_density(CAVITY, rng)
-        vec = rho.matrix.ravel(order="F")
-        via_matrix = (liou.matrix @ vec).reshape((5, 5), order="F")
-        assert np.allclose(via_matrix, liou.apply(rho.matrix), atol=1e-13)
+        # reference: the Lindblad formula -i[H, X] + sum_k (c X c^dag - {c^dag c, X}/2)
+        h = random_hermitian(SMALL, rng)
+        n = SMALL.total_dim
+
+        def random_matrix():
+            return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+        cs = [random_matrix() for _ in range(2)]
+        liou = liouvillian_from_operators(h, [QOperator(SMALL, c) for c in cs])
+        x = random_matrix()
+        expected = -1j * (h.matrix @ x - x @ h.matrix)
+        for c in cs:
+            cdc = c.conj().T @ c
+            expected += c @ x @ c.conj().T - 0.5 * (cdc @ x + x @ cdc)
+        assert np.abs(liou.apply(x) - expected).max() <= 1e-13 * np.abs(expected).max()
 
     def test_sparse_matches_kron_formula(self, rng):
         # reference: the dense Kronecker assembly, in the same operation order
@@ -145,6 +155,14 @@ class TestInvariantBlocks:
         assert len(blocks) == 1
         rho0 = DensityMatrix.from_pure(BLOCK_SPACE, basis_ket(BLOCK_SPACE, [1, 0], ["e"]))
         assert liou.invariant_block(rho0.matrix.ravel(order="F")) is None
+
+    def test_one_block_keeps_no_dense_superoperator(self):
+        # the steady state and a correlation densify only what they solve with
+        liou, _ = self.blocks(delta=0.3)
+        rho = steady_state(liou)
+        a1 = annihilation(BLOCK_SPACE, 0)
+        correlation(liou, rho, a1.dag(), a1, np.linspace(0.0, 20.0, 5))
+        assert liou._matrix is None
 
     def test_invariant_block_is_union_of_held_blocks(self):
         liou, _ = self.blocks(delta=0.0, include_quadratic=False, j_override=0.5)
