@@ -20,6 +20,7 @@ from .dynamics import (
     ATOL,
     RTOL,
     Liouvillian,
+    _embed,
     _propagate,
     _sym,
     _unvec,
@@ -288,11 +289,13 @@ def find_reference_state(
 ) -> tuple[float, DensityMatrix, bool]:
     """First time at which transients have settled, and the state there.
 
-    Walks coarse exponential steps until the trace-norm change over one step
-    drops below ``tol``. The default step and cap derive from the slowest
-    decay channel (cap = 50 / rate, step = cap / 100). Returns
-    (t_star, state, settled); when the cap is reached without settling the
-    state at the cap is returned with ``settled=False``.
+    Walks coarse exponential steps, in the real coordinates of the invariant
+    block that holds rho0 (:meth:`Liouvillian.propagator`), until the
+    trace-norm change over one step drops below ``tol``. The default step
+    and cap derive from the slowest decay channel (cap = 50 / rate,
+    step = cap / 100). Returns (t_star, state, settled); when the cap is
+    reached without settling the state at the cap is returned with
+    ``settled=False``.
     """
     if rho0.space != liouvillian.space:
         raise ValueError("initial state lives on a different space")
@@ -312,14 +315,18 @@ def find_reference_state(
     if step <= 0 or cap <= 0:
         raise ValueError("step and cap must be positive")
 
-    prop = liouvillian.propagator(step)
     d = liouvillian.space.total_dim
     x = _vec(rho0.matrix)
+    block = liouvillian.invariant_block(x)
+    prop = liouvillian.propagator(step, block)
+    u = liouvillian._hermitian_basis(block)
+    y = (u.conj().T @ (x if block is None else x[block])).real
     t = 0.0
     rho_prev = rho0.matrix
     while True:
-        x = prop @ x
-        rho_next = _sym(_unvec(x, d))
+        y = prop @ y
+        x = u @ y
+        rho_next = _sym(_unvec(x if block is None else _embed(x, block, d * d), d))
         diff = float(np.abs(np.linalg.eigvalsh(rho_next - rho_prev)).sum())
         if diff < tol:
             return t, DensityMatrix(liouvillian.space, rho_prev), True

@@ -69,9 +69,13 @@ def _write_atomic(path: str, text: str):
 
 
 def _write_csv(path: str, header: list[str], rows, precision: int):
+    # One %-format per row; a row holding a NaN goes cell by cell through
+    # _fmt, which leaves that cell empty.
+    table = np.array(rows, dtype=float).reshape(len(rows), len(header))
+    line = ",".join([f"%.{precision - 1}e"] * len(header))
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(float(v), precision) for v in row))
+    for row, gap in zip(table.tolist(), np.isnan(table).any(axis=1).tolist()):
+        lines.append(",".join(_fmt(v, precision) for v in row) if gap else line % tuple(row))
     _write_atomic(path, "\n".join(lines) + "\n")
 
 

@@ -12,19 +12,23 @@ the operators, not assumed). Dense blocks of it power the matrix-exponential
 propagation path (one propagator per step size and block, kept between
 calls) and the steady-state solves.
 
-L maps Hermitian matrices to Hermitian matrices, so its matrix in an
-orthonormal Hermitian operator basis (rho_ii, sqrt(2) Re rho_ij and
-sqrt(2) Im rho_ij for i < j) is real. Each propagator is exponentiated in
-that basis, in real arithmetic, on a block closed under rho_ij <-> rho_ji,
-and agrees with a complex exponential to about 1e-12 relative.
+L maps Hermitian matrices to Hermitian matrices, so its matrix L_r in an
+orthonormal Hermitian operator basis U (rho_ii, sqrt(2) Re rho_ij and
+sqrt(2) Im rho_ij for i < j) is real on every block closed under
+rho_ij <-> rho_ji. Each propagator is P_r = expm(L_r dt), exponentiated and
+kept in real arithmetic; it agrees with a complex exponential to about 1e-12
+relative.
 
 Exponential scans run on the smallest union of blocks that holds the
-initial vector and is closed under transposition. They step a state chain
-x <- P x, except long values-only scans (correlations, observable records),
-which step the few weight rows by a power of P against baby-step state
-columns. The steady state is one LU solve of the trace-bordered block that
-holds the populations; the condition estimates of that LU and of every other
-block's LU are the uniqueness check.
+initial vector and is closed under transposition, in real coordinates: the
+seed goes in as y0 = U^dag x0 and the weight rows as W U, a complex vector
+is stepped as its real and imaginary parts, and states come back as U y.
+They step a chain y <- P_r y, except long values-only scans (correlations,
+observable records), which step the few weight rows by a real power of P_r
+against baby-step states. The steady state is one real LU solve of the
+trace-bordered block that holds the populations, in the same basis; the
+condition estimates of that LU and of every other block's (complex) LU are
+the uniqueness check.
 
 Both propagation paths read the same CSR generator; they are cross-checked
 against each other in the test suite.
@@ -200,14 +204,15 @@ class Liouvillian:
         """L, or its restriction to an invariant block, as a fresh dense array."""
         return (self.sparse if block is None else self.sparse[block][:, block]).toarray()
 
-    def _real_basis(self, block: np.ndarray | None):
-        """Positions in ``block`` (None: the whole space) of rho_ii, and of
-        rho_ij and rho_ji for i < j, as three index arrays.
+    def _hermitian_basis(self, block: np.ndarray | None) -> scipy.sparse.csr_array:
+        """Unitary U whose columns are the orthonormal Hermitian operator basis
+        of ``block`` (None: the whole space): rho_ii at its own position, and
+        for i < j (rho_ij + rho_ji)/sqrt(2) at rho_ij's position and
+        i (rho_ij - rho_ji)/sqrt(2) at rho_ji's.
 
-        The real coordinates of a Hermitian rho sit at the same positions:
-        rho_ii, sqrt(2) Re rho_ij at rho_ij's and sqrt(2) Im rho_ij at
-        rho_ji's. Raises ``ValidationError`` when the block is not closed
-        under rho_ij <-> rho_ji.
+        y = U^dag x are the real coordinates of a Hermitian x, at the same
+        positions: rho_ii, sqrt(2) Re rho_ij and sqrt(2) Im rho_ij. Raises
+        ``ValidationError`` when the block is not closed under rho_ij <-> rho_ji.
         """
         d = self.space.total_dim
         index = np.arange(d * d) if block is None else block
@@ -216,56 +221,55 @@ class Liouvillian:
         where = np.searchsorted(index, transposed).clip(max=index.size - 1)
         if not np.array_equal(index[where], transposed):
             raise ValidationError("block is not closed under rho_ij <-> rho_ji")
-        upper = np.flatnonzero(rows < cols)
-        return np.flatnonzero(rows == cols), upper, where[upper]
+        diag, upper = np.flatnonzero(rows == cols), np.flatnonzero(rows < cols)
+        lower = where[upper]
+        half = np.full(upper.size, math.sqrt(0.5))
+        return scipy.sparse.csr_array(
+            (
+                np.concatenate([np.ones(diag.size), half, 1j * half, half, -1j * half]),
+                (
+                    np.concatenate([diag, upper, upper, lower, lower]),
+                    np.concatenate([diag, upper, lower, upper, lower]),
+                ),
+            ),
+            shape=(index.size, index.size),
+        )
+
+    def _real_generator(self, block: np.ndarray | None):
+        """(U, L_r): the Hermitian basis of ``block`` (:meth:`_hermitian_basis`)
+        and L restricted to the block in that basis, L_r = U^dag L_b U, as a
+        real CSR array.
+
+        L maps Hermitian matrices to Hermitian matrices, so L_r is real. Raises
+        ``ValidationError`` when it is not real to rounding, as for a
+        Liouvillian constructed directly with a non-Hermitian Hamiltonian.
+        """
+        u = self._hermitian_basis(block)
+        gen = self.sparse if block is None else self.sparse[block][:, block]
+        real_gen = u.conj().T @ gen @ u
+        scale = np.abs(real_gen.data).max(initial=0.0)
+        if np.abs(real_gen.data.imag).max(initial=0.0) > 16 * np.finfo(float).eps * scale:
+            raise ValidationError(
+                "generator is not real in a Hermitian basis: "
+                "the Hamiltonian is not Hermitian"
+            )
+        return u, real_gen.real
 
     def propagator(self, dt: float, block: np.ndarray | None = None) -> np.ndarray:
-        """expm(L dt), or expm of L restricted to ``block`` (ascending indices
-        of an invariant subspace closed under rho_ij <-> rho_ji, as from
-        :meth:`invariant_block`); the propagator of the last step size and
-        block asked for is kept.
+        """P_r = expm(L_r dt): the propagator of L, or of L restricted to
+        ``block`` (ascending indices of an invariant subspace closed under
+        rho_ij <-> rho_ji, as from :meth:`invariant_block`), in the real
+        coordinates of :meth:`_real_generator`, as a read-only float64 array;
+        the propagator of the last step size and block asked for is kept.
 
-        L maps Hermitian matrices to Hermitian matrices, so in the orthonormal
-        Hermitian basis of :meth:`_real_basis` its block L_r = U^dag L_b U is
-        real. The exponential is taken of L_r in real arithmetic and brought
-        back as U expm(L_r dt) U^dag, U applied on the (i, j)/(j, i) pairs;
-        it agrees with a complex expm(L_b dt) to about 1e-12 relative.
-        Raises ``ValidationError`` when L_r is not real to rounding, as for a
-        Liouvillian constructed directly with a non-Hermitian Hamiltonian.
+        The propagator in the column-major basis is U P_r U^dag; it agrees
+        with a complex expm(L_b dt) to about 1e-12 relative.
         """
         key = (dt, None if block is None else block.tobytes())
         if self._propagator is None or self._propagator[0] != key:
             self._propagator = None  # release the old slot before building
-            diag, upper, lower = self._real_basis(block)
-            gen = self.sparse if block is None else self.sparse[block][:, block]
-            half = math.sqrt(0.5)
-            ones, halves = np.ones(diag.size), np.full(upper.size, half)
-            u = scipy.sparse.csr_array(
-                (
-                    np.concatenate([ones, halves, 1j * halves, halves, -1j * halves]),
-                    (
-                        np.concatenate([diag, upper, upper, lower, lower]),
-                        np.concatenate([diag, upper, lower, upper, lower]),
-                    ),
-                ),
-                shape=gen.shape,
-            )
-            real_gen = u.conj().T @ gen @ u
-            scale = np.abs(real_gen.data).max(initial=0.0)
-            if np.abs(real_gen.data.imag).max(initial=0.0) > 16 * np.finfo(float).eps * scale:
-                raise ValidationError(
-                    "generator is not real in a Hermitian basis: "
-                    "the Hamiltonian is not Hermitian"
-                )
-            real_prop = scipy.linalg.expm(real_gen.real.toarray() * dt)
-            # P = U P_r U^dag: U on the rows, then U^dag on the columns
-            prop = real_prop.astype(complex)
-            re, im = real_prop[upper], real_prop[lower]
-            prop[upper] = half * (re + 1j * im)
-            prop[lower] = half * (re - 1j * im)
-            re, im = prop[:, upper], prop[:, lower]
-            prop[:, upper] = half * (re - 1j * im)
-            prop[:, lower] = half * (re + 1j * im)
+            _, real_gen = self._real_generator(block)
+            prop = scipy.linalg.expm(real_gen.toarray() * dt)
             prop.setflags(write=False)
             self._propagator = (key, prop)
         return self._propagator[1]
@@ -370,22 +374,37 @@ def _is_uniform(grid: np.ndarray) -> bool:
 def _block_size(side: int, n_steps: int, n_rows: int) -> int:
     """Giant-step length m of a values-only scan; ``n_steps + 1`` is the plain chain.
 
-    Costs are counted in propagator mat-vecs. Giant steps of m = 2^j cost j
-    squarings of the propagator (about side/6 mat-vecs each, measured at
-    sides 1024 and 2500), m - 1 baby steps, one row-times-matrix product per
-    weight row and giant step, and the giant steps from the last baby state
-    to the final state. The chain costs n_steps mat-vecs. m stays at most
-    ``side``, so the baby columns never outgrow the propagator.
+    Costs are counted in real products of the propagator with one vector
+    (one step of a Hermitian seed's real coordinates, or of a real weight
+    row). Giant steps of m = 2^j cost j real squarings of the propagator
+    (about side/10 such products each, measured at sides 512, 1024 and
+    2500), m - 1 baby steps, one row-times-matrix product per weight row and
+    giant step, and the giant steps from the last baby state to the final
+    state. The chain costs n_steps products. A complex seed steps two
+    columns, about twice the cost at sides 1024 and 2500 (a squaring is
+    side/20 to side/25 of those), but counts as one: its scans take fewer
+    squarings than the exact count would give. m stays at most ``side``, so
+    the baby states never outgrow the propagator.
     """
     best, best_cost = n_steps + 1, float(n_steps)
     m = 2
     while m <= min(side, n_steps):
         giant = -(-(n_steps + 1) // m)
-        cost = math.log2(m) * side / 6 + (m - 1) + n_rows * giant + n_steps // m
+        cost = math.log2(m) * side / 10 + (m - 1) + n_rows * giant + n_steps // m
         if cost < best_cost:
             best, best_cost = m, cost
         m *= 2
     return best
+
+
+def _real_product(x: np.ndarray, prop: np.ndarray) -> np.ndarray:
+    """x @ prop for a real prop and x one row or a stack of rows. A complex x
+    goes in as its real and imaginary parts, the rows of one real product."""
+    if not np.iscomplexobj(x):
+        return x @ prop
+    parts = np.vstack([x.real, x.imag]) @ prop
+    half = parts.shape[0] // 2
+    return (parts[:half] + 1j * parts[half:]).reshape(x.shape)
 
 
 def _expm_scan(
@@ -398,19 +417,23 @@ def _expm_scan(
     block: np.ndarray | None = None,
     final: bool = True,
 ):
-    """Propagate x0 through n_steps of P = expm(L dt), or of the propagator
-    of L restricted to ``block`` when x0 and the weight rows are restricted
-    to that invariant block.
+    """Propagate x0 through n_steps of expm(L dt), or of the propagator of L
+    restricted to ``block`` when x0 and the weight rows are restricted to
+    that invariant block.
 
     Returns (values, states, x_final) where ``values[r, k]`` is
     weight_rows[r] . x(k dt) including k = 0, and ``states`` collects every
-    x(k dt) when requested. Scans that keep states, and short ones, run the
-    plain chain x <- P x. A values-only scan whose cost model (see
-    :func:`_block_size`) favours it splits k = a m + b instead: it keeps the
-    baby-step states P^b x0 as columns and steps the weight rows by P^m, so
-    values[:, a m + b] = (W P^(a m)) (P^b x0). That path reaches x_final by
-    further giant steps only when ``final`` is set, and returns None for it
-    otherwise.
+    x(k dt) when requested. The scan runs in the real coordinates of
+    :meth:`Liouvillian.propagator`: the seed goes in as y0 = U^dag x0 (real
+    for a Hermitian x0; a complex one is stepped as its real and imaginary
+    parts), the weight rows as W U, and kept states and x_final come back as
+    U y. Every product with P_r or its powers is real. Scans that keep
+    states, and short ones, run the plain chain y <- P_r y. A values-only
+    scan whose cost model (see :func:`_block_size`) favours it splits
+    k = a m + b instead: it keeps the baby-step states P_r^b y0 and steps the
+    weight rows by P_r^m, so values[:, a m + b] = (W U P_r^(a m)) (P_r^b y0).
+    That path reaches x_final by further giant steps only when ``final`` is
+    set, and returns None for it otherwise.
     """
     values = None
     if weight_rows is not None:
@@ -421,39 +444,43 @@ def _expm_scan(
         return values, states, x0.copy()
 
     prop = liouvillian.propagator(dt, block)
+    u = liouvillian._hermitian_basis(block)
+    y = u.conj().T @ x0
+    if not y.imag.any():
+        y = y.real.copy()
+    weights = None if weight_rows is None else weight_rows @ u
     m = n_steps + 1
     if weight_rows is not None and not keep_states:
         m = _block_size(x0.size, n_steps, weight_rows.shape[0])
+    # P_r y is taken as the row product y P_r^T: _real_product stacks rows.
     if m > n_steps:
-        x = x0
         for k in range(1, n_steps + 1):
-            x = prop @ x
+            y = _real_product(y, prop.T)
             if keep_states:
-                states.append(x)
+                states.append(u @ y)
             if values is not None:
-                values[:, k] = weight_rows @ x
-        return values, states, x
+                values[:, k] = weights @ y
+        return values, states, states[-1] if keep_states else u @ y
 
-    cols = np.empty((x0.size, m), dtype=complex)
-    cols[:, 0] = x0
+    babies = np.empty((m, y.size), dtype=y.dtype)
+    babies[0] = y
     for b in range(1, m):
-        cols[:, b] = prop @ cols[:, b - 1]
+        babies[b] = _real_product(babies[b - 1], prop.T)
     prop_m = prop
     for _ in range(m.bit_length() - 1):
         prop_m = prop_m @ prop_m
-    rows = weight_rows
     for first in range(0, n_steps + 1, m):
         if first:
-            rows = rows @ prop_m
+            weights = _real_product(weights, prop_m)
         take = min(m, n_steps + 1 - first)
-        values[:, first : first + take] = rows @ cols[:, :take]
+        values[:, first : first + take] = weights @ babies[:take].T
     if not final:
         return values, states, None
     giant, b = divmod(n_steps, m)
-    x_final = cols[:, b].copy()
+    y = babies[b]
     for _ in range(giant):
-        x_final = prop_m @ x_final
-    return values, states, x_final
+        y = _real_product(y, prop_m.T)
+    return values, states, u @ y
 
 
 def _adaptive_scan(
@@ -640,12 +667,14 @@ def steady_state(liouvillian: Liouvillian, kernel_check: str = "always") -> Dens
     more than one block mean a kernel of dimension > 1. In the one block
     that holds them, the first row (a redundant row: the trace functional
     annihilates the generator) is replaced by the trace constraint and the
-    resulting system solved by LU. That bordered system is singular exactly
-    when the block's kernel has dimension > 1, and every other block is
-    singular exactly when it holds a stationary coherence; so the kernel
-    check is LAPACK's reciprocal-condition estimate of each block's LU,
-    O(n_b^2) after the factorization: below n_b * eps the steady state is
-    reported as not unique, never silently resolved. ``kernel_check`` is
+    resulting system solved by a real LU, in the Hermitian basis of
+    :meth:`Liouvillian._real_generator` (which raises ``ValidationError``
+    for a generator that is not real there). That bordered system is
+    singular exactly when the block's kernel has dimension > 1, and every
+    other block is singular exactly when it holds a stationary coherence; so
+    the kernel check is LAPACK's reciprocal-condition estimate of each
+    block's LU, O(n_b^2) after the factorization: below n_b * eps the steady
+    state is reported as not unique, never silently resolved. ``kernel_check`` is
     "always" (every block is factored and checked, at every size) or "never"
     (only the population block is factored, and not checked). A generator
     without a kernel fails the stationarity-residual check that follows the
@@ -664,11 +693,15 @@ def steady_state(liouvillian: Liouvillian, kernel_check: str = "always") -> Dens
         )
     (block,) = held
     whole = len(blocks) == 1
+    # The block is closed under rho_ij <-> rho_ji (the transposed image of a
+    # population block holds the populations too), so the system is solved in
+    # its real coordinates, where the trace is the sum of the rho_ii ones.
     # The block is ascending and index 0 (rho[0, 0]) is a population, so its
     # first row is the one the trace row replaces.
-    m = liouvillian._dense_block(None if whole else block)
+    u, real_gen = liouvillian._real_generator(None if whole else block)
+    m = real_gen.toarray()
     m[0, :] = populations[block]
-    b = np.zeros(block.size, dtype=complex)
+    b = np.zeros(block.size)
     b[0] = 1.0
     lu = _checked_lu(m, kernel_check, "the trace-bordered system")
     if kernel_check != "never":
@@ -678,13 +711,13 @@ def steady_state(liouvillian: Liouvillian, kernel_check: str = "always") -> Dens
                     liouvillian._dense_block(other), kernel_check,
                     f"an invariant block of side {other.size}",
                 )
-    x = scipy.linalg.lu_solve(lu, b)
+    y = scipy.linalg.lu_solve(lu, b)
     # One refinement pass tightens the residual at negligible cost.
-    x += scipy.linalg.lu_solve(lu, b - m @ x)
-    if not np.all(np.isfinite(x)):
+    y += scipy.linalg.lu_solve(lu, b - m @ y)
+    if not np.all(np.isfinite(y)):
         raise DegenerateSteadyStateError("kernel solve produced non-finite values")
 
-    rho = _sym(_unvec(_embed(x, block, d * d), d))
+    rho = _sym(_unvec(_embed(u @ y, block, d * d), d))
     rho /= np.trace(rho).real
     residual = float(np.abs(liouvillian.apply(rho)).max())
     if residual > STEADY_RESIDUAL_TOL:

@@ -234,6 +234,41 @@ class TestG2:
         assert t_star > 0
         assert liou.stationarity_residual(rho_star) <= 1e-4
 
+    @pytest.mark.parametrize("whole", [False, True])
+    def test_settle_search_matches_complex_oracle(self, whole):
+        # complex coherences: (|1> + i|2>)/sqrt(2) of a cavity lies in its
+        # coherence orders -1..1; the full model off resonance is one block
+        if whole:
+            space = SMALL
+            h = build_dimensionless_hamiltonian(space, 0.1, 0.3)
+            liou = build_liouvillian(h, DissipationParams(kappa1=0.05, kappa2=0.05, gamma=0.05))
+            ket = basis_ket(space, [1, 0], ["e"]) + 1j * basis_ket(space, [0, 1], ["g"])
+        else:
+            space, liou = thermal_cavity(kappa=0.05)
+            ket = basis_ket(space, [1], []) + 1j * basis_ket(space, [2], [])
+        rho0 = DensityMatrix.from_pure(space, ket)
+        x = rho0.matrix.ravel(order="F")
+        assert (liou.invariant_block(x) is None) == whole
+        step, tol, cap = 20.0, 1e-6, 1000.0
+        t_star, rho_star, settled = find_reference_state(liou, rho0, step, tol, cap)
+        prop = scipy.linalg.expm(liou.matrix * step)
+        d = space.total_dim
+        t, rho_prev = 0.0, rho0.matrix
+        while True:
+            x = prop @ x
+            rho_next = x.reshape((d, d), order="F")
+            rho_next = (rho_next + rho_next.conj().T) / 2.0
+            if np.abs(np.linalg.eigvalsh(rho_next - rho_prev)).sum() < tol:
+                oracle = (t, rho_prev, True)
+                break
+            t += step
+            rho_prev = rho_next
+            if t >= cap:
+                oracle = (t, rho_next, False)
+                break
+        assert (t_star, settled) == (oracle[0], oracle[2])
+        assert np.abs(rho_star.matrix - oracle[1]).max() <= 1e-12
+
 
 class TestImbalance:
     def build(self, k=0.05, delta=0.3, gamma_phi=0.01):

@@ -188,7 +188,10 @@ class TestBlockPropagation:
 
     def assert_propagator_matches_complex_expm(self, liou, dt, block=None):
         oracle = scipy.linalg.expm(liou._dense_block(block) * dt)
-        prop = liou.propagator(dt, block)
+        real_prop = liou.propagator(dt, block)
+        assert real_prop.dtype == np.float64 and not real_prop.flags.writeable
+        u = liou._hermitian_basis(block).toarray()
+        prop = u @ real_prop @ u.conj().T
         assert np.abs(prop - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
     def test_propagator_matches_complex_expm(self):
@@ -422,7 +425,7 @@ class TestExpmScan:
         # take giant steps
         liou, x0, rows = self.scan_setup(rng, n_rows)
         dt = 0.7
-        prop = liou.propagator(dt)
+        prop = scipy.linalg.expm(liou._dense_block(None) * dt)
         chain = [x0]
         for _ in range(n_steps):
             chain.append(prop @ chain[-1])
@@ -433,6 +436,35 @@ class TestExpmScan:
         scale = np.abs(expected).max()
         assert np.abs(values - expected).max() <= 1e-13 * scale
         assert np.abs(x_final - chain[-1]).max() <= 1e-13 * np.abs(chain[-1]).max()
+
+    @pytest.mark.parametrize("block_size", [None, BLOCK])
+    def test_non_hermitian_seed_matches_complex_oracle(self, rng, monkeypatch, block_size):
+        # the spectrum seed a1 rho_ss on its parity block, complex weight rows:
+        # the chain (block_size None) and forced giant steps against complex expm
+        h = build_dimensionless_hamiltonian(
+            SMALL, 0.1, 0.0, include_quadratic=False, j_override=0.5
+        )
+        liou = build_liouvillian(h, DissipationParams(kappa1=0.02, kappa2=0.01, gamma=0.01))
+        a1 = annihilation(SMALL, 0)
+        x0 = (a1.matrix @ steady_state(liou).matrix).ravel(order="F")
+        block = liou.invariant_block(x0)
+        assert block is not None
+        x0 = x0[block]
+        rows = rng.standard_normal((2, x0.size)) + 1j * rng.standard_normal((2, x0.size))
+        n_steps, dt = 2 * self.BLOCK + 3, 0.7
+        prop = scipy.linalg.expm(liou._dense_block(block) * dt)
+        chain = [x0]
+        for _ in range(n_steps):
+            chain.append(prop @ chain[-1])
+        expected = rows @ np.array(chain).T
+        monkeypatch.setattr(
+            dynamics, "_block_size", lambda side, steps, n: block_size or steps + 1
+        )
+        values, _, x_final = dynamics._expm_scan(
+            liou, x0, n_steps, dt, weight_rows=rows, block=block
+        )
+        assert np.abs(values - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert np.abs(x_final - chain[-1]).max() <= 1e-12 * np.abs(chain[-1]).max()
 
     def test_kept_states_take_the_chain(self, rng, monkeypatch):
         liou, x0, rows = self.scan_setup(rng, 1)
@@ -534,14 +566,16 @@ class TestSteadyState:
         calls = []
         lu_factor = scipy.linalg.lu_factor
         monkeypatch.setattr(
-            scipy.linalg, "lu_factor", lambda m: calls.append(m.shape[0]) or lu_factor(m)
+            scipy.linalg, "lu_factor", lambda m: calls.append((m.shape[0], m.dtype)) or lu_factor(m)
         )
         rho = steady_state(liou)
-        assert sorted(calls) == sorted(block.size for block in liou.blocks)
+        assert sorted(size for size, _ in calls) == sorted(block.size for block in liou.blocks)
         assert len(calls) == 5
+        # the population block, factored first, is real in the Hermitian basis
+        assert [dtype for _, dtype in calls] == [np.float64] + [np.complex128] * 4
         calls.clear()
         assert np.abs(steady_state(liou, kernel_check="never").matrix - rho.matrix).max() == 0
-        assert len(calls) == 1
+        assert len(calls) == 1 and calls[0][1] == np.float64
 
     def test_degenerate_above_dense_limit(self, monkeypatch):
         monkeypatch.setattr(dynamics, "DENSE_MAX_SIDE", 4)
