@@ -20,7 +20,6 @@ from .dynamics import (
     ATOL,
     RTOL,
     Liouvillian,
-    _embed,
     _propagate,
     _sym,
     _unvec,
@@ -289,8 +288,8 @@ def find_reference_state(
 ) -> tuple[float, DensityMatrix, bool]:
     """First time at which transients have settled, and the state there.
 
-    Walks coarse exponential steps, in the real coordinates of the invariant
-    block that holds rho0 (:meth:`Liouvillian.propagator`), until the
+    Walks coarse exponential steps, on the invariant block that holds rho0
+    (one step of the exponential path of :func:`evolve` each), until the
     trace-norm change over one step drops below ``tol``. The default step
     and cap derive from the slowest decay channel (cap = 50 / rate,
     step = cap / 100). Returns (t_star, state, settled); when the cap is
@@ -316,17 +315,14 @@ def find_reference_state(
         raise ValueError("step and cap must be positive")
 
     d = liouvillian.space.total_dim
-    x = _vec(rho0.matrix)
-    block = liouvillian.invariant_block(x)
-    prop = liouvillian.propagator(step, block)
-    u = liouvillian._hermitian_basis(block)
-    y = (u.conj().T @ (x if block is None else x[block])).real
+    grid = np.array([0.0, step])
+    # exactly Hermitian, so every step is one real column in the Hermitian basis
+    x = _vec(_sym(rho0.matrix))
     t = 0.0
     rho_prev = rho0.matrix
     while True:
-        y = prop @ y
-        x = u @ y
-        rho_next = _sym(_unvec(x if block is None else _embed(x, block, d * d), d))
+        x = _propagate(liouvillian, x, grid, "expm")[4]
+        rho_next = _unvec(x, d)
         diff = float(np.abs(np.linalg.eigvalsh(rho_next - rho_prev)).sum())
         if diff < tol:
             return t, DensityMatrix(liouvillian.space, rho_prev), True

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -53,12 +52,6 @@ NUMERICAL_EXIT = 3
 EIGEN_COUNT = 5  # fixed by the eigenscan CSV schema: delta,E1..E5
 
 
-def _fmt(value: float, precision: int) -> str:
-    if isinstance(value, float) and math.isnan(value):
-        return ""
-    return f"{value:.{precision - 1}e}"
-
-
 def _write_atomic(path: str, text: str):
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -69,13 +62,12 @@ def _write_atomic(path: str, text: str):
 
 
 def _write_csv(path: str, header: list[str], rows, precision: int):
-    # One %-format per row; a row holding a NaN goes cell by cell through
-    # _fmt, which leaves that cell empty.
+    # One %-format per row; Python writes every NaN as "nan", which no other
+    # cell contains, and a NaN cell is left empty.
     table = np.array(rows, dtype=float).reshape(len(rows), len(header))
     line = ",".join([f"%.{precision - 1}e"] * len(header))
     lines = [",".join(header)]
-    for row, gap in zip(table.tolist(), np.isnan(table).any(axis=1).tolist()):
-        lines.append(",".join(_fmt(v, precision) for v in row) if gap else line % tuple(row))
+    lines.extend((line % tuple(row)).replace("nan", "") for row in table.tolist())
     _write_atomic(path, "\n".join(lines) + "\n")
 
 

@@ -278,6 +278,16 @@ class Liouvillian:
         return float(np.abs(self.apply(rho.matrix)).max())
 
 
+def _hermitian_hamiltonian(h: QOperator) -> QOperator:
+    """h as an exactly Hermitian operator, (h + h^dag)/2, once it passes
+    :meth:`QOperator.is_hermitian`: a defect within that tolerance would
+    otherwise leave an imaginary part in the generator's Hermitian-basis
+    form, which :meth:`Liouvillian._real_generator` rejects."""
+    if not h.is_hermitian():
+        raise ValidationError("Hamiltonian must be Hermitian")
+    return QOperator(h.space, (h.matrix + h.matrix.conj().T) / 2.0)
+
+
 def liouvillian_from_operators(
     hamiltonian: QOperator,
     collapse_ops: Sequence[QOperator],
@@ -288,8 +298,7 @@ def liouvillian_from_operators(
     Each collapse operator must already carry the square root of its rate,
     i.e. the damping term contributed is D[c] rho = c rho c^dag - {c^dag c, rho}/2.
     """
-    if not hamiltonian.is_hermitian():
-        raise ValidationError("Hamiltonian must be Hermitian")
+    hamiltonian = _hermitian_hamiltonian(hamiltonian)
     space = hamiltonian.space
     for c in collapse_ops:
         if c.space != space:
@@ -305,8 +314,7 @@ def build_liouvillian(h: QOperator, d: DissipationParams) -> Liouvillian:
     single mode or without a qubit simply omit the missing channels, which
     keeps uncoupled-cavity fixtures expressible.
     """
-    if not h.is_hermitian():
-        raise ValidationError("Hamiltonian must be Hermitian")
+    h = _hermitian_hamiltonian(h)
     space = h.space
     if space.n_modes > 2 or space.qubit_count > 1:
         raise ValueError("dissipation defaults cover at most 2 modes and 1 qubit")
@@ -449,6 +457,8 @@ def _expm_scan(
     if not y.imag.any():
         y = y.real.copy()
     weights = None if weight_rows is None else weight_rows @ u
+    if weights is not None and not weights.imag.any():
+        weights = weights.real.copy()
     m = n_steps + 1
     if weight_rows is not None and not keep_states:
         m = _block_size(x0.size, n_steps, weight_rows.shape[0])

@@ -1,5 +1,6 @@
 import configparser
 import json
+import math
 import textwrap
 
 import numpy as np
@@ -560,21 +561,26 @@ class TestTaskRuns:
         assert manifest["config"]["model"]["fock_dims"] == [2, 2]
 
 
+def _fmt(value: float, precision: int) -> str:
+    # the per-cell reference: NaN cells empty, every other one "%.{p-1}e"
+    return "" if math.isnan(value) else f"{value:.{precision - 1}e}"
+
+
 class TestCsvWriter:
     def test_matches_cell_by_cell_formatting(self, tmp_path):
-        # the per-cell reference: NaN cells empty, every other one "%.{p-1}e"
         rng = np.random.default_rng(3)
         table = rng.standard_normal((50, 4)) * 10.0 ** rng.integers(-300, 300, (50, 4))
         table[3, 1] = table[7, 0] = table[7, 3] = np.nan
         table[5] = [np.inf, -np.inf, -0.0, 0.0]
         table[9, 2] = 5e-324
+        table[11, 1] = -np.nan
         rows = [tuple(row) for row in table]
         header = ["a", "b", "c", "d"]
         for precision in (1, 6, 17):
             path = tmp_path / f"p{precision}.csv"
             cli._write_csv(str(path), header, rows, precision)
             expected = [",".join(header)] + [
-                ",".join(cli._fmt(float(v), precision) for v in row) for row in rows
+                ",".join(_fmt(float(v), precision) for v in row) for row in rows
             ]
             assert path.read_text() == "\n".join(expected) + "\n"
         cells = path.read_text().splitlines()[8].split(",")  # table row 7

@@ -66,6 +66,25 @@ class TestBuildLiouvillian:
         with pytest.raises(ValidationError):
             liou.propagator(0.5)
 
+    def test_hermiticity_defect_within_tolerance_is_accepted(self, rng):
+        # V D V^dag leaves a defect of order eps; the added anti-Hermitian
+        # part puts it at 1e-13 relative, inside is_hermitian's tolerance but
+        # far above rounding in the generator's Hermitian-basis form
+        v, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+        m = v @ np.diag(rng.uniform(-1.0, 1.0, 8)) @ v.conj().T
+        m = m + 1e-13 * np.abs(m).max() * 1j * random_hermitian(SMALL, rng).matrix
+        h = QOperator(SMALL, m)
+        assert h.is_hermitian() and not np.array_equal(m, m.conj().T)
+        diss = DissipationParams(kappa1=0.05, kappa2=0.05, gamma=0.05)
+        liou = build_liouvillian(h, diss)
+        raw = dynamics.Liouvillian(SMALL, h, liou.collapse_ops, diss)
+        with pytest.raises(ValidationError):
+            steady_state(raw)
+        for built in (liou, liouvillian_from_operators(h, liou.collapse_ops, diss)):
+            rho = steady_state(built)
+            assert built.stationarity_residual(rho) <= 1e-10
+            assert built.propagator(0.5).dtype == np.float64
+
     def test_trace_row_annihilates_generator(self, rng):
         h = build_dimensionless_hamiltonian(SMALL, 0.2, 0.3)
         liou = build_liouvillian(h, DissipationParams())
