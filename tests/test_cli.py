@@ -1,11 +1,16 @@
 import configparser
 import json
 import math
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import jtcqed
 from jtcqed import SpaceSpec, build_dimensionless_hamiltonian, eigen_lowest
 from jtcqed import cli
 from jtcqed.cli import main
@@ -585,3 +590,51 @@ class TestCsvWriter:
             assert path.read_text() == "\n".join(expected) + "\n"
         cells = path.read_text().splitlines()[8].split(",")  # table row 7
         assert cells[0] == cells[3] == "" and all(cells[1:3])
+
+
+COLD_START = """
+import json
+import sys
+
+import numpy as np
+
+import jtcqed
+import jtcqed.cli
+
+lazy = ("scipy.signal", "scipy.integrate", "scipy.stats")
+loaded = [name for name in lazy if name in sys.modules]
+
+omegas = np.linspace(-1.0, 1.0, 201)
+values = np.exp(-(((omegas - 0.5) / 0.05) ** 2)) + 0.5 * np.exp(-(((omegas + 0.3) / 0.05) ** 2))
+peaks = jtcqed.spectrum_peaks(jtcqed.SpectrumSeries(omegas, values))
+
+space = jtcqed.SpaceSpec((2, 2), 1)
+h = jtcqed.build_dimensionless_hamiltonian(space, 0.05, 0.0)
+liou = jtcqed.build_liouvillian(h, jtcqed.DissipationParams())
+rho0 = jtcqed.DensityMatrix.from_pure(space, jtcqed.basis_ket(space, [1, 0], ["e"]))
+times = np.linspace(0.0, 8.0, 5)
+adaptive = jtcqed.evolve(liou, rho0, times, method="adaptive")
+exact = jtcqed.evolve(liou, rho0, times, method="expm")
+gap = max(np.abs(a.matrix - b.matrix).max() for a, b in zip(adaptive.states, exact.states))
+
+print(json.dumps({"loaded": loaded, "peaks": peaks, "method": adaptive.method, "gap": float(gap)}))
+"""
+
+
+class TestColdStart:
+    def test_signal_and_integrate_load_on_first_use(self):
+        # A fresh interpreter on the src/ under test: importing the package
+        # must not load the SciPy modules only spectrum_peaks and the
+        # adaptive integrator need, and both must still work afterwards.
+        src = str(Path(jtcqed.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", COLD_START], env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout.splitlines()[-1])
+        assert out["loaded"] == []
+        assert [omega for omega, _ in out["peaks"]] == pytest.approx([-0.3, 0.5])
+        assert [power for _, power in out["peaks"]] == pytest.approx([0.5, 1.0], rel=1e-3)
+        assert out["method"] == "adaptive"
+        assert out["gap"] < 1e-6
