@@ -185,8 +185,6 @@ def power_spectrum(
     tau_max: float = 1000.0,
     n_samples: int = 4096,
     ordering: str = "emission",
-    method: str = "auto",
-    metadata: dict | None = None,
 ) -> SpectrumSeries:
     """One-sided power spectrum of the stationary mode correlation.
 
@@ -225,7 +223,7 @@ def power_spectrum(
 
     d_tau = tau_max / n_samples
     taus = np.arange(n_samples) * d_tau
-    corr = correlation(liouvillian, rho_ss, a_op, b_op, taus, method=method)
+    corr = correlation(liouvillian, rho_ss, a_op, b_op, taus)
 
     c0 = abs(corr.values[0])
     tail = np.abs(corr.values[-max(1, n_samples // 20):]).max()
@@ -244,8 +242,7 @@ def power_spectrum(
     omegas = omegas[order]
     power = power[order]
 
-    meta = dict(metadata or {})
-    meta.update(
+    meta = dict(
         mode=mode,
         ordering=ordering,
         tau_max=tau_max,
@@ -295,7 +292,8 @@ def find_reference_state(
     and cap derive from the slowest decay channel (cap = 50 / rate,
     step = cap / 100). Returns (t_star, state, settled); when the cap is
     reached without settling the state at the cap is returned with
-    ``settled=False``.
+    ``settled=False``. Raises ``ValueError`` unless step and cap are finite
+    and positive.
     """
     if rho0.space != liouvillian.space:
         raise ValueError("initial state lives on a different space")
@@ -312,8 +310,8 @@ def find_reference_state(
             cap = 50.0 / rate if rate else 100.0
         if step is None:
             step = cap / 100.0
-    if step <= 0 or cap <= 0:
-        raise ValueError("step and cap must be positive")
+    if not (0 < step < math.inf and 0 < cap < math.inf):
+        raise ValueError("step and cap must be finite and positive")
 
     d = liouvillian.space.total_dim
     grid = np.array([0.0, step])
@@ -343,7 +341,6 @@ def g2(
     settle_step: float | None = None,
     settle_tol: float = 1e-6,
     settle_cap: float | None = None,
-    method: str = "auto",
 ) -> CorrelationSeries:
     """Second-order coherence of the privileged mode or the qubit.
 
@@ -384,7 +381,7 @@ def g2(
     seed = op.matrix @ rho_star.matrix @ op.matrix.conj().T
     weight = op.dag() @ op
     method, side, values, _, _ = _propagate(
-        liouvillian, _vec(seed), taus, method, [weight], final=False
+        liouvillian, _vec(seed), taus, weight_ops=[weight], final=False
     )
     values = values[0].real
     values[0] = np.trace(weight.matrix @ seed).real

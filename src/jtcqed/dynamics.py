@@ -23,12 +23,12 @@ Exponential scans run on the smallest union of blocks that holds the
 initial vector and is closed under transposition, in real coordinates: the
 seed goes in as y0 = U^dag x0 and the weight rows as W U, a complex vector
 is stepped as its real and imaginary parts, and states come back as U y.
-They step a chain y <- P_r y, except long values-only scans (correlations,
-observable records), which step the few weight rows by a real power of P_r
-against baby-step states. The steady state is one real LU solve of the
-trace-bordered block that holds the populations, in the same basis; the
-condition estimates of that LU and of every other block's (complex) LU are
-the uniqueness check.
+One loop steps baby states y <- P_r y; a long values-only scan (correlations,
+observable records) stops it at m states and steps the few weight rows by
+the real power P_r^m instead, and every other scan runs it to the end, the
+plain chain. The steady state is one real LU solve of the trace-bordered
+block that holds the populations, in the same basis; the condition estimates
+of that LU and of every other block's (complex) LU are the uniqueness check.
 
 Both propagation paths read the same CSR generator; they are cross-checked
 against each other in the test suite.
@@ -131,7 +131,7 @@ class Liouvillian:
         self._sparse: scipy.sparse.csr_array | None = None
         self._matrix: np.ndarray | None = None
         self._labels: np.ndarray | None = None
-        self._propagator: tuple[tuple[float, bytes | None], np.ndarray] | None = None
+        self._propagator: tuple[tuple[float, bytes], np.ndarray] | None = None
 
     @property
     def sparse(self) -> scipy.sparse.csr_array:
@@ -177,10 +177,9 @@ class Liouvillian:
             )
         return self._labels
 
-    def invariant_block(self, x: np.ndarray) -> np.ndarray | None:
+    def invariant_block(self, x: np.ndarray) -> np.ndarray:
         """Ascending indices of the union of the blocks that hold the nonzero
-        entries of x and of their transposed images, or None when that union
-        is the whole space.
+        entries of x and of their transposed images.
 
         L commutes with the adjoint rho -> rho^dag, so the image of a block
         under rho_ij <-> rho_ji is a block too, and the union is closed under
@@ -192,21 +191,20 @@ class Liouvillian:
         held = np.zeros(labels.max() + 1, dtype=bool)
         held[labels[nonzero]] = True
         held[labels[nonzero // d + nonzero % d * d]] = True
-        inside = held[labels]
-        return None if inside.all() else np.flatnonzero(inside)
+        return np.flatnonzero(held[labels])
 
     def apply(self, mat: np.ndarray) -> np.ndarray:
         """Apply the generator to a (not necessarily Hermitian) matrix: one
         mat-vec with :attr:`sparse`."""
         return _unvec(self.sparse @ _vec(mat), self.space.total_dim)
 
-    def _dense_block(self, block: np.ndarray | None) -> np.ndarray:
-        """L, or its restriction to an invariant block, as a fresh dense array."""
-        return (self.sparse if block is None else self.sparse[block][:, block]).toarray()
+    def _dense_block(self, block: np.ndarray) -> np.ndarray:
+        """L restricted to an invariant block, as a fresh dense array."""
+        return self.sparse[block][:, block].toarray()
 
-    def _hermitian_basis(self, block: np.ndarray | None) -> scipy.sparse.csr_array:
+    def _hermitian_basis(self, block: np.ndarray) -> scipy.sparse.csr_array:
         """Unitary U whose columns are the orthonormal Hermitian operator basis
-        of ``block`` (None: the whole space): rho_ii at its own position, and
+        of ``block``: rho_ii at its own position, and
         for i < j (rho_ij + rho_ji)/sqrt(2) at rho_ij's position and
         i (rho_ij - rho_ji)/sqrt(2) at rho_ji's.
 
@@ -215,11 +213,10 @@ class Liouvillian:
         ``ValidationError`` when the block is not closed under rho_ij <-> rho_ji.
         """
         d = self.space.total_dim
-        index = np.arange(d * d) if block is None else block
-        rows, cols = index % d, index // d
+        rows, cols = block % d, block // d
         transposed = cols + rows * d
-        where = np.searchsorted(index, transposed).clip(max=index.size - 1)
-        if not np.array_equal(index[where], transposed):
+        where = np.searchsorted(block, transposed).clip(max=block.size - 1)
+        if not np.array_equal(block[where], transposed):
             raise ValidationError("block is not closed under rho_ij <-> rho_ji")
         diag, upper = np.flatnonzero(rows == cols), np.flatnonzero(rows < cols)
         lower = where[upper]
@@ -232,10 +229,10 @@ class Liouvillian:
                     np.concatenate([diag, upper, lower, upper, lower]),
                 ),
             ),
-            shape=(index.size, index.size),
+            shape=(block.size, block.size),
         )
 
-    def _real_generator(self, block: np.ndarray | None):
+    def _real_generator(self, block: np.ndarray):
         """(U, L_r): the Hermitian basis of ``block`` (:meth:`_hermitian_basis`)
         and L restricted to the block in that basis, L_r = U^dag L_b U, as a
         real CSR array.
@@ -245,8 +242,7 @@ class Liouvillian:
         Liouvillian constructed directly with a non-Hermitian Hamiltonian.
         """
         u = self._hermitian_basis(block)
-        gen = self.sparse if block is None else self.sparse[block][:, block]
-        real_gen = u.conj().T @ gen @ u
+        real_gen = u.conj().T @ self.sparse[block][:, block] @ u
         scale = np.abs(real_gen.data).max(initial=0.0)
         if np.abs(real_gen.data.imag).max(initial=0.0) > 16 * np.finfo(float).eps * scale:
             raise ValidationError(
@@ -255,9 +251,9 @@ class Liouvillian:
             )
         return u, real_gen.real
 
-    def propagator(self, dt: float, block: np.ndarray | None = None) -> np.ndarray:
-        """P_r = expm(L_r dt): the propagator of L, or of L restricted to
-        ``block`` (ascending indices of an invariant subspace closed under
+    def propagator(self, dt: float, block: np.ndarray) -> np.ndarray:
+        """P_r = expm(L_r dt): the propagator of L restricted to ``block``
+        (ascending indices of an invariant subspace closed under
         rho_ij <-> rho_ji, as from :meth:`invariant_block`), in the real
         coordinates of :meth:`_real_generator`, as a read-only float64 array;
         the propagator of the last step size and block asked for is kept.
@@ -265,7 +261,7 @@ class Liouvillian:
         The propagator in the column-major basis is U P_r U^dag; it agrees
         with a complex expm(L_b dt) to about 1e-12 relative.
         """
-        key = (dt, None if block is None else block.tobytes())
+        key = (dt, block.tobytes())
         if self._propagator is None or self._propagator[0] != key:
             self._propagator = None  # release the old slot before building
             _, real_gen = self._real_generator(block)
@@ -380,7 +376,7 @@ def _is_uniform(grid: np.ndarray) -> bool:
 
 
 def _block_size(side: int, n_steps: int, n_rows: int) -> int:
-    """Giant-step length m of a values-only scan; ``n_steps + 1`` is the plain chain.
+    """Baby-step count m of a values-only scan; ``n_steps + 1`` is the plain chain.
 
     Costs are counted in real products of the propagator with one vector
     (one step of a Hermitian seed's real coordinates, or of a real weight
@@ -391,8 +387,14 @@ def _block_size(side: int, n_steps: int, n_rows: int) -> int:
     state. The chain costs n_steps products. A complex seed steps two
     columns, about twice the cost at sides 1024 and 2500 (a squaring is
     side/20 to side/25 of those), but counts as one: its scans take fewer
-    squarings than the exact count would give. m stays at most ``side``, so
-    the baby states never outgrow the propagator.
+    squarings than the exact count would give.
+
+    The baby states take min(m, n_steps + 1) rows of ``side`` entries. Giant
+    steps have m <= side, and the chain is picked only for short scans: with
+    1 to 3 weight rows its longest n_steps + 1 is 0.40-0.63 side at sides
+    256 to 3600 and 1.7 side at side 16, so the baby states stay within
+    about twice the propagator's memory. At side 4 every scan is a chain
+    of 4-entry rows.
     """
     best, best_cost = n_steps + 1, float(n_steps)
     m = 2
@@ -422,12 +424,12 @@ def _expm_scan(
     dt: float,
     weight_rows: np.ndarray | None = None,
     keep_states: bool = False,
-    block: np.ndarray | None = None,
+    *,
+    block: np.ndarray,
     final: bool = True,
 ):
-    """Propagate x0 through n_steps of expm(L dt), or of the propagator of L
-    restricted to ``block`` when x0 and the weight rows are restricted to
-    that invariant block.
+    """Propagate x0, restricted to the invariant ``block`` as are the weight
+    rows, through n_steps of the propagator of L on that block.
 
     Returns (values, states, x_final) where ``values[r, k]`` is
     weight_rows[r] . x(k dt) including k = 0, and ``states`` collects every
@@ -435,13 +437,12 @@ def _expm_scan(
     :meth:`Liouvillian.propagator`: the seed goes in as y0 = U^dag x0 (real
     for a Hermitian x0; a complex one is stepped as its real and imaginary
     parts), the weight rows as W U, and kept states and x_final come back as
-    U y. Every product with P_r or its powers is real. Scans that keep
-    states, and short ones, run the plain chain y <- P_r y. A values-only
-    scan whose cost model (see :func:`_block_size`) favours it splits
-    k = a m + b instead: it keeps the baby-step states P_r^b y0 and steps the
-    weight rows by P_r^m, so values[:, a m + b] = (W U P_r^(a m)) (P_r^b y0).
-    That path reaches x_final by further giant steps only when ``final`` is
-    set, and returns None for it otherwise.
+    U y. Every product with P_r or its powers is real. One loop keeps the
+    baby states P_r^b y0 for b < m, with m from :func:`_block_size` for a
+    values-only scan and n_steps + 1 (the plain chain) otherwise. A shorter
+    m splits k = a m + b and steps the weight rows by P_r^m, so
+    values[:, a m + b] = (W U P_r^(a m)) (P_r^b y0), and reaches x_final by
+    further giant steps. x_final is None when ``final`` is not set.
     """
     values = None
     if weight_rows is not None:
@@ -456,34 +457,29 @@ def _expm_scan(
     y = u.conj().T @ x0
     if not y.imag.any():
         y = y.real.copy()
-    weights = None if weight_rows is None else weight_rows @ u
-    if weights is not None and not weights.imag.any():
-        weights = weights.real.copy()
     m = n_steps + 1
     if weight_rows is not None and not keep_states:
         m = _block_size(x0.size, n_steps, weight_rows.shape[0])
     # P_r y is taken as the row product y P_r^T: _real_product stacks rows.
-    if m > n_steps:
-        for k in range(1, n_steps + 1):
-            y = _real_product(y, prop.T)
-            if keep_states:
-                states.append(u @ y)
-            if values is not None:
-                values[:, k] = weights @ y
-        return values, states, states[-1] if keep_states else u @ y
-
-    babies = np.empty((m, y.size), dtype=y.dtype)
+    babies = np.empty((min(m, n_steps + 1), y.size), dtype=y.dtype)
     babies[0] = y
-    for b in range(1, m):
+    for b in range(1, babies.shape[0]):
         babies[b] = _real_product(babies[b - 1], prop.T)
     prop_m = prop
-    for _ in range(m.bit_length() - 1):
-        prop_m = prop_m @ prop_m
-    for first in range(0, n_steps + 1, m):
-        if first:
-            weights = _real_product(weights, prop_m)
-        take = min(m, n_steps + 1 - first)
-        values[:, first : first + take] = weights @ babies[:take].T
+    if m <= n_steps:
+        for _ in range(m.bit_length() - 1):
+            prop_m = prop_m @ prop_m
+    if values is not None:
+        weights = weight_rows @ u
+        if not weights.imag.any():
+            weights = weights.real.copy()
+        for first in range(0, n_steps + 1, m):
+            if first:
+                weights = _real_product(weights, prop_m)
+            start, stop = max(first, 1), min(first + m, n_steps + 1)
+            values[:, start:stop] = weights @ babies[start - first : stop - first].T
+    if keep_states:
+        states.extend((u @ babies[1:].T).T)
     if not final:
         return values, states, None
     giant, b = divmod(n_steps, m)
@@ -548,8 +544,7 @@ def _propagate(
     embedded back. Returns the resolved method, the side of the space
     propagated on, tr(weight_ops[r] x(times[k])) as ``values[r, k]`` (or
     None), every x(t) when ``keep_states`` (or None), and x at the last time
-    (None on the exponential path when ``final`` is not set and the scan took
-    giant steps).
+    (None on the exponential path when ``final`` is not set).
     """
     if method == "auto":
         method = "expm" if times.size >= 3 and _is_uniform(times) else "adaptive"
@@ -566,19 +561,16 @@ def _propagate(
             raise ValueError("expm propagation requires a uniform time grid")
         dt = float(times[1] - times[0]) if times.size > 1 else 0.0
         block = liouvillian.invariant_block(x0)
-        if block is not None:
-            x0 = x0[block]
-            weight_rows = weight_rows[:, block] if weight_rows is not None else None
         values, columns, x_final = _expm_scan(
-            liouvillian, x0, times.size - 1, dt,
-            weight_rows=weight_rows, keep_states=keep_states, block=block, final=final,
+            liouvillian, x0[block], times.size - 1, dt,
+            weight_rows=None if weight_rows is None else weight_rows[:, block],
+            keep_states=keep_states, block=block, final=final,
         )
-        if block is not None:
-            if columns is not None:
-                columns = [_embed(c, block, side) for c in columns]
-            if x_final is not None:
-                x_final = _embed(x_final, block, side)
-            side = block.size
+        if columns is not None:
+            columns = [_embed(c, block, side) for c in columns]
+        if x_final is not None:
+            x_final = _embed(x_final, block, side)
+        side = block.size
     elif method == "adaptive":
         y = _adaptive_scan(liouvillian, x0, times, rtol, atol)
         values = weight_rows @ y if weight_rows is not None else None
@@ -652,9 +644,9 @@ def _sym(mat: np.ndarray) -> np.ndarray:
     return (mat + mat.conj().T) / 2.0
 
 
-def _checked_lu(m: np.ndarray, kernel_check: str, what: str):
-    """LU of m; unless ``kernel_check`` is "never", raises when LAPACK's
-    reciprocal-condition estimate of it is below side * eps."""
+def _checked_lu(m: np.ndarray, what: str):
+    """LU of m; raises when LAPACK's reciprocal-condition estimate of it is
+    below side * eps."""
     try:
         # An exactly zero pivot is a degenerate kernel, not a warning.
         with warnings.catch_warnings():
@@ -662,18 +654,17 @@ def _checked_lu(m: np.ndarray, kernel_check: str, what: str):
             lu, piv = scipy.linalg.lu_factor(m)
     except (scipy.linalg.LinAlgError, scipy.linalg.LinAlgWarning) as exc:
         raise DegenerateSteadyStateError(f"kernel solve failed: {exc}") from exc
-    if kernel_check != "never":
-        gecon = scipy.linalg.get_lapack_funcs("gecon", (lu,))
-        rcond, _ = gecon(lu, np.linalg.norm(m, 1), norm="1")
-        if not rcond >= m.shape[0] * np.finfo(float).eps:
-            raise DegenerateSteadyStateError(
-                f"kernel dimension > 1 (reciprocal condition {rcond:.3e} of {what}); "
-                "steady state is not unique"
-            )
+    gecon = scipy.linalg.get_lapack_funcs("gecon", (lu,))
+    rcond, _ = gecon(lu, np.linalg.norm(m, 1), norm="1")
+    if not rcond >= m.shape[0] * np.finfo(float).eps:
+        raise DegenerateSteadyStateError(
+            f"kernel dimension > 1 (reciprocal condition {rcond:.3e} of {what}); "
+            "steady state is not unique"
+        )
     return lu, piv
 
 
-def steady_state(liouvillian: Liouvillian, kernel_check: str = "always") -> DensityMatrix:
+def steady_state(liouvillian: Liouvillian) -> DensityMatrix:
     """Unique stationary state, via a trace-constrained kernel solve per block.
 
     The kernel of L is the direct sum of the kernels of its invariant blocks
@@ -688,15 +679,11 @@ def steady_state(liouvillian: Liouvillian, kernel_check: str = "always") -> Dens
     singular exactly when the block's kernel has dimension > 1, and every
     other block is singular exactly when it holds a stationary coherence; so
     the kernel check is LAPACK's reciprocal-condition estimate of each
-    block's LU, O(n_b^2) after the factorization: below n_b * eps the steady
-    state is reported as not unique, never silently resolved. ``kernel_check`` is
-    "always" (every block is factored and checked, at every size) or "never"
-    (only the population block is factored, and not checked). A generator
-    without a kernel fails the stationarity-residual check that follows the
-    solve.
+    block's LU, O(n_b^2) after the factorization: every block is factored
+    and checked, at every size, and below n_b * eps the steady state is
+    reported as not unique, never silently resolved. A generator without a
+    kernel fails the stationarity-residual check that follows the solve.
     """
-    if kernel_check not in ("always", "never"):
-        raise ValueError("kernel_check must be 'always' or 'never'")
     d = liouvillian.space.total_dim
     blocks = liouvillian.blocks
     populations = _vec(np.eye(d, dtype=bool))
@@ -707,25 +694,22 @@ def steady_state(liouvillian: Liouvillian, kernel_check: str = "always") -> Dens
             "each with its own stationary state; steady state is not unique"
         )
     (block,) = held
-    whole = len(blocks) == 1
     # The block is closed under rho_ij <-> rho_ji (the transposed image of a
     # population block holds the populations too), so the system is solved in
     # its real coordinates, where the trace is the sum of the rho_ii ones.
     # The block is ascending and index 0 (rho[0, 0]) is a population, so its
     # first row is the one the trace row replaces.
-    u, real_gen = liouvillian._real_generator(None if whole else block)
+    u, real_gen = liouvillian._real_generator(block)
     m = real_gen.toarray()
     m[0, :] = populations[block]
     b = np.zeros(block.size)
     b[0] = 1.0
-    lu = _checked_lu(m, kernel_check, "the trace-bordered system")
-    if kernel_check != "never":
-        for other in blocks:
-            if other is not block:
-                _checked_lu(
-                    liouvillian._dense_block(other), kernel_check,
-                    f"an invariant block of side {other.size}",
-                )
+    lu = _checked_lu(m, "the trace-bordered system")
+    for other in blocks:
+        if other is not block:
+            _checked_lu(
+                liouvillian._dense_block(other), f"an invariant block of side {other.size}"
+            )
     y = scipy.linalg.lu_solve(lu, b)
     # One refinement pass tightens the residual at negligible cost.
     y += scipy.linalg.lu_solve(lu, b - m @ y)

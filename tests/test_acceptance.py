@@ -269,7 +269,7 @@ def test_criterion_8_cptp_suite(rng):
             for state in traj.states:
                 assert np.linalg.eigvalsh(state.matrix).min() >= -1e-7
         try:
-            rho_ss = steady_state(liou, kernel_check="always")
+            rho_ss = steady_state(liou)
         except DegenerateSteadyStateError:
             continue
         assert liou.stationarity_residual(rho_ss) <= 1e-10

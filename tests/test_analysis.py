@@ -234,6 +234,19 @@ class TestG2:
         assert t_star > 0
         assert liou.stationarity_residual(rho_star) <= 1e-4
 
+    @pytest.mark.parametrize(
+        "step, cap", [(np.nan, 100.0), (np.inf, 100.0), (1.0, np.nan)]
+    )
+    def test_settle_inputs_must_be_finite(self, step, cap):
+        # nan and inf compare false against 0, so a sign check alone lets
+        # them through; g2 passes its settle inputs on unchanged
+        space, liou = thermal_cavity(kappa=0.05)
+        rho0 = DensityMatrix.from_pure(space, basis_ket(space, [2], []))
+        with pytest.raises(ValueError, match="finite"):
+            find_reference_state(liou, rho0, step=step, cap=cap)
+        with pytest.raises(ValueError, match="finite"):
+            g2(liou, rho0, taus=np.array([0.0, 1.0]), settle_step=step, settle_cap=cap)
+
     @pytest.mark.parametrize("whole", [False, True])
     def test_settle_search_matches_complex_oracle(self, whole):
         # complex coherences: (|1> + i|2>)/sqrt(2) of a cavity lies in its
@@ -248,7 +261,7 @@ class TestG2:
             ket = basis_ket(space, [1], []) + 1j * basis_ket(space, [2], [])
         rho0 = DensityMatrix.from_pure(space, ket)
         x = rho0.matrix.ravel(order="F")
-        assert (liou.invariant_block(x) is None) == whole
+        assert (liou.invariant_block(x).size == x.size) == whole
         step, tol, cap = 20.0, 1e-6, 1000.0
         t_star, rho_star, settled = find_reference_state(liou, rho0, step, tol, cap)
         prop = scipy.linalg.expm(liou.matrix * step)
