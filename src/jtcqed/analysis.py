@@ -10,11 +10,14 @@ attached instead when the window is too short.
 from __future__ import annotations
 
 import math
+import os
 import warnings as _warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _blas
 from .dynamics import (
     ATOL,
     RTOL,
@@ -62,14 +65,32 @@ class EigenScanTable:
     energies: np.ndarray  # shape (len(deltas), count)
 
 
-def _hamiltonian_sweep(k, delta_grid, count, space, include_quadratic, j_override=None):
-    """The validated mismatch grid and the real matrices H(delta) along it.
+# Matrices per batch: about 1 MB of them, and never fewer than 3. NumPy's
+# stacked eigensolvers release the interpreter lock only when matrices x side
+# exceeds 500 (measured), which 1 MB batches meet below side 262 and 3
+# matrices above side 166.
+_BATCH_BYTES = 1 << 20
+_MIN_BATCH = 3
+
+
+def _hamiltonian_sweep(k, delta_grid, count, space, include_quadratic, solve, j_override=None):
+    """The validated mismatch grid and ``solve`` applied along it.
 
     H(delta) is affine in delta, so two builds give h0 = H(0), h1 = H(1) - H(0)
     and H(delta) = h0 + delta h1. Checking h0 and h1 (Hermitian, imaginary
     part zero) covers every point, and the eigensolves run in real arithmetic,
-    about twice as fast as in complex. One matrix is formed at a time: a
-    stacked grid would double the peak memory of a large scan.
+    about twice as fast as in complex.
+
+    The grid is cut into contiguous chunks, one per CPU of the affinity mask
+    and at most one per batch; the calling thread runs the first and worker
+    threads the others. A chunk is formed a batch at a time in one reused
+    buffer of about 1 MB, so peak memory stays bounded whatever the grid's
+    length, and ``solve`` maps each stack of H(delta) to one result row per
+    matrix with one stacked LAPACK call. BLAS runs on one thread throughout
+    (:func:`._blas.single_thread`), so each point's result is the same
+    single-thread LAPACK call whatever the chunking. Where no OpenBLAS
+    library is found to hold to one thread, the calling thread runs the
+    whole grid.
     """
     deltas = np.asarray(delta_grid, dtype=float)
     if deltas.size == 0:
@@ -78,19 +99,46 @@ def _hamiltonian_sweep(k, delta_grid, count, space, include_quadratic, j_overrid
         raise ValueError("delta grid must be finite")
     if not 0 < count <= space.total_dim:
         raise ValueError(f"count must be in [1, {space.total_dim}]")
-    at_zero, at_one = (
-        build_dimensionless_hamiltonian(
-            space, k, d, include_quadratic=include_quadratic, j_override=j_override
+
+    # The builds run on one BLAS thread too: a two-thread call just before
+    # the chunks start leaves OpenBLAS's own thread spinning beside them.
+    with _blas.single_thread():
+        at_zero, at_one = (
+            build_dimensionless_hamiltonian(
+                space, k, d, include_quadratic=include_quadratic, j_override=j_override
+            )
+            for d in (0.0, 1.0)
         )
-        for d in (0.0, 1.0)
-    )
-    parts = (at_zero, at_one - at_zero)
-    if not all(part.is_hermitian() for part in parts):
-        raise ValidationError("eigen decomposition requires a Hermitian operator")
-    if any(np.any(part.matrix.imag) for part in parts):
-        raise ValidationError("eigen scans require a real Hamiltonian")
-    h0, h1 = (part.matrix.real for part in parts)
-    return deltas, (h0 + delta * h1 for delta in deltas)
+        parts = (at_zero, at_one - at_zero)
+        if not all(part.is_hermitian() for part in parts):
+            raise ValidationError("eigen decomposition requires a Hermitian operator")
+        if any(np.any(part.matrix.imag) for part in parts):
+            raise ValidationError("eigen scans require a real Hamiltonian")
+        h0, h1 = (part.matrix.real for part in parts)
+
+        batch = max(_MIN_BATCH, _BATCH_BYTES // h0.nbytes)
+        n_batches = -(-deltas.size // batch)
+        workers = min(len(os.sched_getaffinity(0)), n_batches) if _blas.setters() else 1
+        # Chunk edges on batch boundaries, as even as whole batches allow.
+        edges = [batch * (n_batches * i // workers) for i in range(workers)] + [deltas.size]
+
+        def run(lo, hi):
+            stack = np.empty((min(batch, hi - lo), *h0.shape))
+            rows = []
+            for start in range(lo, hi, batch):
+                chunk = deltas[start:hi][:batch]
+                out = stack[: chunk.size]
+                np.multiply(chunk[:, None, None], h1, out=out)
+                out += h0
+                rows.append(solve(out))
+            return rows
+
+        with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+            others = [pool.submit(run, lo, hi) for lo, hi in zip(edges[1:-1], edges[2:])]
+            rows = run(edges[0], edges[1])
+            for future in others:
+                rows += future.result()
+    return deltas, np.concatenate(rows)
 
 
 def eigen_row(k: float, delta: float, count: int, space: SpaceSpec,
@@ -109,10 +157,10 @@ def eigen_scan(
     j_override: float | None = None,
 ) -> EigenScanTable:
     """Sweep the frequency mismatch and collect the lowest eigenvalues."""
-    deltas, hamiltonians = _hamiltonian_sweep(
-        k, delta_grid, count, space, include_quadratic, j_override
+    deltas, energies = _hamiltonian_sweep(
+        k, delta_grid, count, space, include_quadratic,
+        lambda stack: np.linalg.eigvalsh(stack)[:, :count], j_override,
     )
-    energies = np.array([np.linalg.eigvalsh(h)[:count] for h in hamiltonians])
     return EigenScanTable(deltas=deltas, energies=energies)
 
 
@@ -153,15 +201,14 @@ def single_mode_window(
     higher levels of the strongly coupled spectrum contain near-degenerate
     spectator pairs that hybridize at any mismatch and would mask the window.
     """
-    deltas, hamiltonians = _hamiltonian_sweep(
-        k, delta_grid, count, space, include_quadratic
-    )
     n2 = number_operator(space, 1).matrix.real
-    mixing = np.empty(deltas.size)
-    for i, h in enumerate(hamiltonians):
-        vectors = np.linalg.eigh(h)[1][:, :count]
-        occ = np.einsum("ij,ik,kj->j", vectors, n2, vectors)
-        mixing[i] = np.abs(occ - np.round(occ)).max()
+
+    def solve(stack):
+        vectors = np.linalg.eigh(stack)[1][:, :, :count]
+        occ = np.array([np.einsum("ij,ik,kj->j", v, n2, v) for v in vectors])
+        return np.abs(occ - np.round(occ)).max(axis=1)
+
+    deltas, mixing = _hamiltonian_sweep(k, delta_grid, count, space, include_quadratic, solve)
     center = int(np.argmin(np.abs(deltas)))
     if mixing[center] >= threshold:
         half_width = 0.0

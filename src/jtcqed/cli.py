@@ -12,7 +12,8 @@ them a warning where the Hamiltonian is unbounded below and the config keys
 the task never reads. CSV bodies are byte-identical across repeated runs of
 the same configuration; manifests differ only in their timing fields.
 
-Exit codes: 0 success, 2 usage/config error, 3 numerical failure.
+Exit codes: 0 success, 2 usage/config error (an unusable output directory
+included, reported before any computation), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -52,9 +53,19 @@ NUMERICAL_EXIT = 3
 EIGEN_COUNT = 5  # fixed by the eigenscan CSV schema: delta,E1..E5
 
 
+def _output_directory(csv_path: str):
+    """Create the CSV's directory, or raise ConfigError if it cannot be used,
+    so an unusable path is reported before the run computes anything."""
+    directory = os.path.dirname(os.path.abspath(csv_path))
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {directory!r} is unusable: {exc}") from exc
+    if not os.access(directory, os.W_OK | os.X_OK):
+        raise ConfigError(f"output directory {directory!r} is not writable")
+
+
 def _write_atomic(path: str, text: str):
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
     tmp = path + ".tmp"
     with open(tmp, "w") as handle:
         handle.write(text)
@@ -217,15 +228,16 @@ _RUNNERS = {
 def execute(cfg: RunConfig, out_dir: str | None = None) -> str:
     """Run one configured task; returns the CSV path."""
     start = time.perf_counter()
+    csv_path = cfg.output_path
+    if out_dir is not None and not os.path.isabs(csv_path):
+        csv_path = os.path.join(out_dir, csv_path)
+    _output_directory(csv_path)
     run, reads = _RUNNERS[cfg.task]
     header, rows, notes = run(cfg)
     notes.setdefault("warnings", []).extend(_unbounded_warnings(cfg))
     if notes.get("method") == "expm":
         reads = set(reads) - {"tolerances"}
     notes["unused_keys"] = [key for key in cfg.given_keys if key not in reads]
-    csv_path = cfg.output_path
-    if out_dir is not None and not os.path.isabs(csv_path):
-        csv_path = os.path.join(out_dir, csv_path)
     _write_csv(csv_path, header, rows, cfg.precision)
     _write_manifest(csv_path, cfg, notes, time.perf_counter() - start)
     return csv_path

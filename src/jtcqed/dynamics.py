@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -46,6 +47,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.csgraph
 
+from . import _blas
 from .errors import (
     DegenerateSteadyStateError,
     NonStationaryStateError,
@@ -78,6 +80,9 @@ DENSE_MAX_SIDE = 2704
 
 STEADY_RESIDUAL_TOL = 1e-10
 STATIONARITY_TOL = 1e-8
+
+# Largest LU side factored on one BLAS thread (see _checked_lu).
+ONE_THREAD_LU_MAX_SIDE = 512
 
 # Positivity slack allowed for propagated states: integration at the fixed
 # tolerance contract can push an eigenvalue of an (exactly) boundary state
@@ -646,10 +651,18 @@ def _sym(mat: np.ndarray) -> np.ndarray:
 
 def _checked_lu(m: np.ndarray, what: str):
     """LU of m; raises when LAPACK's reciprocal-condition estimate of it is
-    below side * eps."""
+    below side * eps.
+
+    Up to side ``ONE_THREAD_LU_MAX_SIDE`` the factorization runs on one BLAS
+    thread: there a second thread saves nothing (sides 256 and 512, 2 cores)
+    and now and then stalls the call (a side-256 LU took about 1 ms or
+    20-150 ms from one call to the next). Above it two threads are faster
+    (side 1024: 35 against 43 ms; side 2500: 0.25 against 0.35 s).
+    """
+    one_thread = m.shape[0] <= ONE_THREAD_LU_MAX_SIDE
     try:
         # An exactly zero pivot is a degenerate kernel, not a warning.
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), _blas.single_thread() if one_thread else nullcontext():
             warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
             lu, piv = scipy.linalg.lu_factor(m)
     except (scipy.linalg.LinAlgError, scipy.linalg.LinAlgWarning) as exc:

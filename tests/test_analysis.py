@@ -1,8 +1,11 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from jtcqed import analysis
+from jtcqed import _blas, analysis
 from jtcqed import (
     DensityMatrix,
     DissipationParams,
@@ -94,6 +97,65 @@ class TestEigenScan:
         strong = single_mode_window(1.0 / np.sqrt(2.0), grid, SMALL)
         assert weak.half_width > 0
         assert strong.half_width >= 2.0 * weak.half_width
+
+
+def affine_split(space, k):
+    h0 = build_dimensionless_hamiltonian(space, k, 0.0).matrix.real
+    return h0, build_dimensionless_hamiltonian(space, k, 1.0).matrix.real - h0
+
+
+@pytest.fixture(params=["threads", "serial"])
+def sweep_mode(request, monkeypatch):
+    """Four CPUs in the affinity mask (more chunks than cores), or the serial
+    fallback of a process where no OpenBLAS library is found."""
+    if request.param == "serial":
+        monkeypatch.setattr(_blas, "setters", lambda: ())
+    else:
+        if not _blas.setters():
+            pytest.skip("no OpenBLAS library in this process")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    return request.param
+
+
+class TestSweepRunner:
+    # Sides 8, 72 and 200: one batch for every grid, 25 and 3 matrices a batch.
+    @pytest.mark.parametrize("n", [2, 6, 10])
+    def test_scan_is_per_point_eigvalsh(self, n, sweep_mode):
+        space = SpaceSpec((n, n), 1)
+        h0, h1 = affine_split(space, 0.1)
+        for points in (1, 2, 3, 7, 201):
+            grid = np.linspace(-1.0, 1.0, points)
+            expected = np.array([np.linalg.eigvalsh(h0 + d * h1)[:5] for d in grid])
+            assert np.array_equal(eigen_scan(0.1, grid, 5, space).energies, expected)
+
+    def test_window_is_per_point_eigh(self, sweep_mode):
+        space = SpaceSpec((10, 10), 1)
+        grid = np.linspace(-1.0, 1.0, 41)
+        h0, h1 = affine_split(space, 0.1 / np.sqrt(2.0))
+        n2 = number_operator(space, 1).matrix.real
+        expected = []
+        for d in grid:
+            vectors = np.linalg.eigh(h0 + d * h1)[1][:, :3]
+            occ = np.einsum("ij,ik,kj->j", vectors, n2, vectors)
+            expected.append(np.abs(occ - np.round(occ)).max())
+        scan = single_mode_window(0.1 / np.sqrt(2.0), grid, space)
+        assert np.array_equal(scan.mixing, expected)
+
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        if not _blas.setters():
+            pytest.skip("no OpenBLAS library in this process: no worker threads")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        eigvalsh = np.linalg.eigvalsh
+        caller = threading.get_ident()
+
+        def failing(a):
+            if threading.get_ident() != caller:
+                raise RuntimeError("worker failed")
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        with pytest.raises(RuntimeError, match="worker failed"):
+            eigen_scan(0.1, np.linspace(-1.0, 1.0, 201), 5, SpaceSpec((10, 10), 1))
 
 
 class TestPowerSpectrum:

@@ -245,6 +245,19 @@ class TestConfigErrors:
     def test_missing_file(self, capsys):
         assert main(["run", "/nonexistent/config.ini"]) == 2
 
+    def test_unusable_output_directory_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # A directory below a regular file cannot be made; it is reported
+        # before the scan runs, not as a traceback after it.
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setattr(cli, "eigen_scan", lambda *args, **kwargs: pytest.fail("scan ran"))
+        cfg = write_config(tmp_path / "run.ini", EIGENSCAN_CONFIG.format(out=blocker / "x" / "out.csv"))
+        for argv in (["preset", "fig1a", "--out", str(blocker / "x")], ["run", cfg]):
+            assert main(argv) == 2
+            report = json.loads(capsys.readouterr().err)
+            assert report["error"] == "config"
+            assert "output directory" in report["message"]
+
     def test_unknown_preset(self, capsys):
         assert main(["preset", "fig9z"]) == 2
 
@@ -595,6 +608,7 @@ class TestCsvWriter:
 COLD_START = """
 import json
 import sys
+import threading
 
 import numpy as np
 
@@ -603,6 +617,8 @@ import jtcqed.cli
 
 lazy = ("scipy.signal", "scipy.integrate", "scipy.stats")
 loaded = [name for name in lazy if name in sys.modules]
+blas_lookups = jtcqed._blas.setters.cache_info().currsize
+threads = threading.active_count()
 
 omegas = np.linspace(-1.0, 1.0, 201)
 values = np.exp(-(((omegas - 0.5) / 0.05) ** 2)) + 0.5 * np.exp(-(((omegas + 0.3) / 0.05) ** 2))
@@ -617,7 +633,10 @@ adaptive = jtcqed.evolve(liou, rho0, times, method="adaptive")
 exact = jtcqed.evolve(liou, rho0, times, method="expm")
 gap = max(np.abs(a.matrix - b.matrix).max() for a, b in zip(adaptive.states, exact.states))
 
-print(json.dumps({"loaded": loaded, "peaks": peaks, "method": adaptive.method, "gap": float(gap)}))
+print(json.dumps({
+    "loaded": loaded, "blas_lookups": blas_lookups, "threads": threads,
+    "peaks": peaks, "method": adaptive.method, "gap": float(gap),
+}))
 """
 
 
@@ -634,6 +653,9 @@ class TestColdStart:
         assert proc.returncode == 0, proc.stderr
         out = json.loads(proc.stdout.splitlines()[-1])
         assert out["loaded"] == []
+        # nor look up the BLAS libraries or start a thread
+        assert out["blas_lookups"] == 0
+        assert out["threads"] == 1
         assert [omega for omega, _ in out["peaks"]] == pytest.approx([-0.3, 0.5])
         assert [power for _, power in out["peaks"]] == pytest.approx([0.5, 1.0], rel=1e-3)
         assert out["method"] == "adaptive"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from jtcqed import dynamics
+from jtcqed import _blas, dynamics
 from jtcqed import (
     DegenerateSteadyStateError,
     DensityMatrix,
@@ -615,6 +615,26 @@ class TestSteadyState:
         assert len(calls) == 5
         # the population block, factored first, is real in the Hermitian basis
         assert [dtype for _, dtype in calls] == [np.float64] + [np.complex128] * 4
+
+    def test_small_lus_on_one_blas_thread(self, monkeypatch):
+        if not _blas.setters():
+            pytest.skip("no OpenBLAS library in this process")
+        setter = _blas.setters()[0]
+
+        def count():
+            previous = setter(1)
+            setter(previous)
+            return previous
+
+        seen = []
+        lu_factor = scipy.linalg.lu_factor
+        monkeypatch.setattr(scipy.linalg, "lu_factor", lambda m: seen.append(count()) or lu_factor(m))
+        default = count()
+        limit = dynamics.ONE_THREAD_LU_MAX_SIDE
+        for side in (4, limit, limit + 1):
+            dynamics._checked_lu(np.eye(side) + np.eye(side, k=1), "a test matrix")
+        assert seen == [1, 1, default]
+        assert count() == default
 
     def test_degenerate_above_dense_limit(self, monkeypatch):
         monkeypatch.setattr(dynamics, "DENSE_MAX_SIDE", 4)
