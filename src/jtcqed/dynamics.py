@@ -30,6 +30,18 @@ plain chain. The steady state is one real LU solve of the trace-bordered
 block that holds the populations, in the same basis; the condition estimates
 of that LU and of every other block's (complex) LU are the uniqueness check.
 
+All dense work on a block of side up to ``ONE_THREAD_MAX_SIDE`` (the
+propagator's expm, the squarings, the baby and giant steps and weight-row
+products of a scan, and the LU) runs on one BLAS thread; larger blocks run
+at the default count. Measured on 2 cores, one thread against two: expm
+plus a 16384-delay scan took 12 against 16 ms at side 128, 35 against 49 ms
+at 256, 146 against 176 ms at 512 and 459 against 473 ms at 784, but 1.00
+against 0.72 s at 1024; an LU took 43 against 35 ms at side 1024 and 0.35
+against 0.25 s at 2500, while on two threads a side-256 LU took about 1 ms
+or 20-150 ms from one call to the next. Below the limit the second thread
+also keeps OpenBLAS threads spinning beside the rest of the run: a spectrum
+run used about twice its wall time in CPU time.
+
 Both propagation paths read the same CSR generator; they are cross-checked
 against each other in the test suite.
 """
@@ -81,8 +93,8 @@ DENSE_MAX_SIDE = 2704
 STEADY_RESIDUAL_TOL = 1e-10
 STATIONARITY_TOL = 1e-8
 
-# Largest LU side factored on one BLAS thread (see _checked_lu).
-ONE_THREAD_LU_MAX_SIDE = 512
+# Largest block side whose dense work runs on one BLAS thread.
+ONE_THREAD_MAX_SIDE = 512
 
 # Positivity slack allowed for propagated states: integration at the fixed
 # tolerance contract can push an eigenvalue of an (exactly) boundary state
@@ -412,6 +424,13 @@ def _block_size(side: int, n_steps: int, n_rows: int) -> int:
     return best
 
 
+def _dense_threads(side: int):
+    """Context for the dense work on a block of this side: one BLAS thread
+    up to ``ONE_THREAD_MAX_SIDE``, the default count above it (see the
+    module docstring)."""
+    return _blas.single_thread() if side <= ONE_THREAD_MAX_SIDE else nullcontext()
+
+
 def _real_product(x: np.ndarray, prop: np.ndarray) -> np.ndarray:
     """x @ prop for a real prop and x one row or a stack of rows. A complex x
     goes in as its real and imaginary parts, the rows of one real product."""
@@ -457,41 +476,42 @@ def _expm_scan(
     if n_steps == 0:
         return values, states, x0.copy()
 
-    prop = liouvillian.propagator(dt, block)
-    u = liouvillian._hermitian_basis(block)
-    y = u.conj().T @ x0
-    if not y.imag.any():
-        y = y.real.copy()
-    m = n_steps + 1
-    if weight_rows is not None and not keep_states:
-        m = _block_size(x0.size, n_steps, weight_rows.shape[0])
-    # P_r y is taken as the row product y P_r^T: _real_product stacks rows.
-    babies = np.empty((min(m, n_steps + 1), y.size), dtype=y.dtype)
-    babies[0] = y
-    for b in range(1, babies.shape[0]):
-        babies[b] = _real_product(babies[b - 1], prop.T)
-    prop_m = prop
-    if m <= n_steps:
-        for _ in range(m.bit_length() - 1):
-            prop_m = prop_m @ prop_m
-    if values is not None:
-        weights = weight_rows @ u
-        if not weights.imag.any():
-            weights = weights.real.copy()
-        for first in range(0, n_steps + 1, m):
-            if first:
-                weights = _real_product(weights, prop_m)
-            start, stop = max(first, 1), min(first + m, n_steps + 1)
-            values[:, start:stop] = weights @ babies[start - first : stop - first].T
-    if keep_states:
-        states.extend((u @ babies[1:].T).T)
-    if not final:
-        return values, states, None
-    giant, b = divmod(n_steps, m)
-    y = babies[b]
-    for _ in range(giant):
-        y = _real_product(y, prop_m.T)
-    return values, states, u @ y
+    with _dense_threads(x0.size):
+        prop = liouvillian.propagator(dt, block)
+        u = liouvillian._hermitian_basis(block)
+        y = u.conj().T @ x0
+        if not y.imag.any():
+            y = y.real.copy()
+        m = n_steps + 1
+        if weight_rows is not None and not keep_states:
+            m = _block_size(x0.size, n_steps, weight_rows.shape[0])
+        # P_r y is taken as the row product y P_r^T: _real_product stacks rows.
+        babies = np.empty((min(m, n_steps + 1), y.size), dtype=y.dtype)
+        babies[0] = y
+        for b in range(1, babies.shape[0]):
+            babies[b] = _real_product(babies[b - 1], prop.T)
+        prop_m = prop
+        if m <= n_steps:
+            for _ in range(m.bit_length() - 1):
+                prop_m = prop_m @ prop_m
+        if values is not None:
+            weights = weight_rows @ u
+            if not weights.imag.any():
+                weights = weights.real.copy()
+            for first in range(0, n_steps + 1, m):
+                if first:
+                    weights = _real_product(weights, prop_m)
+                start, stop = max(first, 1), min(first + m, n_steps + 1)
+                values[:, start:stop] = weights @ babies[start - first : stop - first].T
+        if keep_states:
+            states.extend((u @ babies[1:].T).T)
+        if not final:
+            return values, states, None
+        giant, b = divmod(n_steps, m)
+        y = babies[b]
+        for _ in range(giant):
+            y = _real_product(y, prop_m.T)
+        return values, states, u @ y
 
 
 def _adaptive_scan(
@@ -651,18 +671,11 @@ def _sym(mat: np.ndarray) -> np.ndarray:
 
 def _checked_lu(m: np.ndarray, what: str):
     """LU of m; raises when LAPACK's reciprocal-condition estimate of it is
-    below side * eps.
-
-    Up to side ``ONE_THREAD_LU_MAX_SIDE`` the factorization runs on one BLAS
-    thread: there a second thread saves nothing (sides 256 and 512, 2 cores)
-    and now and then stalls the call (a side-256 LU took about 1 ms or
-    20-150 ms from one call to the next). Above it two threads are faster
-    (side 1024: 35 against 43 ms; side 2500: 0.25 against 0.35 s).
+    below side * eps. BLAS threads follow :func:`_dense_threads`.
     """
-    one_thread = m.shape[0] <= ONE_THREAD_LU_MAX_SIDE
     try:
         # An exactly zero pivot is a degenerate kernel, not a warning.
-        with warnings.catch_warnings(), _blas.single_thread() if one_thread else nullcontext():
+        with warnings.catch_warnings(), _dense_threads(m.shape[0]):
             warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
             lu, piv = scipy.linalg.lu_factor(m)
     except (scipy.linalg.LinAlgError, scipy.linalg.LinAlgWarning) as exc:

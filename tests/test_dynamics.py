@@ -543,6 +543,88 @@ class TestExpmScan:
         assert calls == []
 
 
+def blas_counts():
+    # openblas_set_num_threads_local returns the count it replaces
+    counts = []
+    for fn in _blas.setters():
+        counts.append(fn(1))
+        fn(counts[-1])
+    return counts
+
+
+class TestOneThreadRule:
+    """Dense work on blocks up to ONE_THREAD_MAX_SIDE runs on one BLAS thread."""
+
+    def test_propagation_follows_side_limit(self, monkeypatch):
+        if not _blas.setters():
+            pytest.skip("no OpenBLAS library in this process")
+        h = build_dimensionless_hamiltonian(
+            BLOCK_SPACE, 0.1, 0.0, include_quadratic=False, j_override=0.5
+        )
+        diss = DissipationParams(kappa1=0.02, kappa2=0.01, gamma=0.01)
+        rho0 = DensityMatrix.from_pure(BLOCK_SPACE, basis_ket(BLOCK_SPACE, [1, 0], ["e"]))
+        a = annihilation(BLOCK_SPACE, 0)
+        times = np.linspace(0.0, 40.0, 9)
+        seen = []
+        expm, real_product = scipy.linalg.expm, dynamics._real_product
+        monkeypatch.setattr(
+            scipy.linalg, "expm", lambda m: seen.append(("expm", blas_counts())) or expm(m)
+        )
+        monkeypatch.setattr(
+            dynamics, "_real_product",
+            lambda x, prop: seen.append(("product", blas_counts())) or real_product(x, prop),
+        )
+        default = blas_counts()
+        side = BLOCK_SPACE.total_dim**2 // 2  # a parity block
+        for limit, expected in ((side, [1] * len(default)), (side - 1, default)):
+            monkeypatch.setattr(dynamics, "ONE_THREAD_MAX_SIDE", limit)
+            liou = build_liouvillian(h, diss)
+            rho = steady_state(liou)
+            seen.clear()
+            assert evolve(liou, rho0, times, method="expm").propagation_side == side
+            series = correlation(liou, rho, a.dag(), a, times, method="expm")
+            assert series.metadata["propagation_side"] == side
+            names = [name for name, _ in seen]
+            assert names.count("expm") == 2 and "product" in names
+            assert all(counts == expected for _, counts in seen)
+            assert blas_counts() == default
+
+    def test_counts_restored_when_scan_raises(self):
+        # a directly built Liouvillian with a non-Hermitian H: its real
+        # generator raises inside the scan's one-thread block
+        m = np.zeros((8, 8), dtype=complex)
+        m[0, 3] = 1.0
+        liou = dynamics.Liouvillian(SMALL, QOperator(SMALL, m), [])
+        before = blas_counts()
+        with pytest.raises(ValidationError):
+            dynamics._expm_scan(
+                liou, np.eye(8).ravel(order="F"), 3, 0.5, block=np.arange(64)
+            )
+        assert _blas._holders == 0
+        assert blas_counts() == before
+
+    def test_correlation_independent_of_outer_thread_count(self):
+        # 4,4 linear model: the correlation runs on a parity block of side 512
+        space = SpaceSpec((4, 4), 1)
+        h = build_dimensionless_hamiltonian(
+            space, 0.05 / np.sqrt(2.0), 0.0, include_quadratic=False, j_override=0.5
+        )
+        diss = DissipationParams()
+        rho = steady_state(build_liouvillian(h, diss))
+        a = annihilation(space, 0)
+        taus = np.linspace(0.0, 2000.0, 257)
+
+        def values():
+            series = correlation(build_liouvillian(h, diss), rho, a.dag(), a, taus)
+            assert series.metadata["propagation_side"] == 512
+            return series.values
+
+        free = values()
+        with _blas.single_thread():
+            held = values()
+        assert np.array_equal(free, held)
+
+
 class TestSteadyState:
     def test_empty_cavity(self):
         space, liou = thermal_cavity(kappa=0.01, n_th=0.0)
@@ -588,12 +670,15 @@ class TestSteadyState:
         with pytest.raises(DegenerateSteadyStateError):
             steady_state(self.dephasing_only())
 
-    def test_stationary_coherence_is_degenerate(self):
+    def stationary_coherence(self):
         # H = 0, collapse sqrt(gamma) sigma_x: populations and coherences form
         # two blocks, and sigma_x (a coherence) is stationary beside 1/2
         space = SpaceSpec((), 1)
         h = QOperator(space, np.zeros((2, 2), dtype=complex))
-        liou = liouvillian_from_operators(h, [np.sqrt(0.01) * pauli(space, "x")])
+        return liouvillian_from_operators(h, [np.sqrt(0.01) * pauli(space, "x")])
+
+    def test_stationary_coherence_is_degenerate(self):
+        liou = self.stationary_coherence()
         assert sorted(len(block) for block in liou.blocks) == [2, 2]
         # the coherence block's zero pivot is reported by the error alone
         with warnings.catch_warnings(record=True) as caught:
@@ -630,16 +715,20 @@ class TestSteadyState:
         lu_factor = scipy.linalg.lu_factor
         monkeypatch.setattr(scipy.linalg, "lu_factor", lambda m: seen.append(count()) or lu_factor(m))
         default = count()
-        limit = dynamics.ONE_THREAD_LU_MAX_SIDE
+        limit = dynamics.ONE_THREAD_MAX_SIDE
         for side in (4, limit, limit + 1):
             dynamics._checked_lu(np.eye(side) + np.eye(side, k=1), "a test matrix")
         assert seen == [1, 1, default]
         assert count() == default
 
-    def test_degenerate_above_dense_limit(self, monkeypatch):
-        monkeypatch.setattr(dynamics, "DENSE_MAX_SIDE", 4)
-        with pytest.raises(DegenerateSteadyStateError):
-            steady_state(self.dephasing_only())
+    def test_degenerate_on_default_threads(self, monkeypatch):
+        # the zero-pivot verdict of the LU at the default BLAS thread count
+        monkeypatch.setattr(dynamics, "ONE_THREAD_MAX_SIDE", 0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DegenerateSteadyStateError):
+                steady_state(self.stationary_coherence())
+        assert [str(w.message) for w in caught] == []
 
     def test_production_model_has_unique_mixed_steady_state(self):
         h = build_dimensionless_hamiltonian(SMALL, 0.05 / np.sqrt(2.0), 0.0)
