@@ -43,7 +43,6 @@ from .hilbert import (
     annihilation,
     basis_ket,
     commutator,
-    creation,
     eigen_lowest,
     eigen_lowest_states,
     expectation,

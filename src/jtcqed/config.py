@@ -23,7 +23,8 @@ A config file has four nested sections mirroring the run layout::
     tau_max = 10000
     n_samples = 16384
     times = 0:3000:601          ; grid shorthand start:stop:count, or a list
-    tolerances = 1e-8, 1e-10    ; rtol, atol of imbalance's adaptive path only
+    tolerances = 1e-8, 1e-10    ; rtol, atol of imbalance's adaptive path only,
+                                ; on each coordinate rho_ii, sqrt2 Re/Im rho_ij
     correlation_ordering = emission
     g2_normalization = standard
     initial_state = 1,0,e       ; n1,n2,q with q one of e/g, inside fock_dims

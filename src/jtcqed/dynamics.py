@@ -2,33 +2,31 @@
 
 The Liouvillian has one form: a sparse superoperator of side
 ``total_dim**2`` in column-major vectorization, assembled once and lazily
-from the Hamiltonian and the scaled collapse operators. Every application of
-the generator, including each right-hand-side evaluation of the adaptive
-integrator and each stationarity residual, is one CSR mat-vec with it. Its
-pattern splits into weakly connected components; L has no entry between two
-of them, so each spans a subspace that L and its transpose leave invariant
-(symmetry sectors such as parity or a conserved coherence order, found from
-the operators, not assumed). Dense blocks of it power the matrix-exponential
-propagation path (one propagator per step size and block, kept between
-calls) and the steady-state solves.
+from the Hamiltonian and the scaled collapse operators. Its pattern splits
+into weakly connected components; L has no entry between two of them, so
+each spans a subspace that L and its transpose leave invariant (symmetry
+sectors such as parity or a conserved coherence order, found from the
+operators, not assumed). Only the stationarity residual applies the complex
+superoperator as it is, one CSR mat-vec.
 
-L maps Hermitian matrices to Hermitian matrices, so its matrix L_r in an
-orthonormal Hermitian operator basis U (rho_ii, sqrt(2) Re rho_ij and
-sqrt(2) Im rho_ij for i < j) is real on every block closed under
-rho_ij <-> rho_ji. Each propagator is P_r = expm(L_r dt), exponentiated and
-kept in real arithmetic; it agrees with a complex exponential to about 1e-12
-relative.
-
-Exponential scans run on the smallest union of blocks that holds the
-initial vector and is closed under transposition, in real coordinates: the
-seed goes in as y0 = U^dag x0 and the weight rows as W U, a complex vector
-is stepped as its real and imaginary parts, and states come back as U y.
-One loop steps baby states y <- P_r y; a long values-only scan (correlations,
-observable records) stops it at m states and steps the few weight rows by
-the real power P_r^m instead, and every other scan runs it to the end, the
-plain chain. The steady state is one real LU solve of the trace-bordered
-block that holds the populations, in the same basis; the condition estimates
-of that LU and of every other block's (complex) LU are the uniqueness check.
+Everything else works on a union of blocks closed under rho_ij <-> rho_ji,
+in one real frame. L maps Hermitian matrices to Hermitian matrices, so its
+matrix L_r there in an orthonormal Hermitian operator basis U (rho_ii,
+sqrt(2) Re rho_ij and sqrt(2) Im rho_ij for i < j) is real. Propagation
+takes the union that holds the initial vector: the seed goes in once as
+y0 = U^dag x0 (real for a Hermitian x0), the weight rows as W U, and states
+come back as U y. The exponential kernel steps y by P_r = expm(L_r dt),
+kept in real arithmetic (within about 1e-12 relative of a complex
+exponential), a complex y as its real and imaginary parts. One loop steps
+baby states y <- P_r y; a long values-only scan (correlations, observable
+records) stops it at m states and steps the few weight rows by the real
+power P_r^m instead, and every other scan runs it to the end, the plain
+chain. The adaptive kernel integrates dy/dt = L_r y by DOP853 with the real
+CSR of L_r, a complex y as it is, so its rtol and atol act component by
+component on those coordinates. The steady state is one real LU solve of
+the trace-bordered block that holds the populations; every other block is
+checked by a real LU on its union with its transposed image, and the
+condition estimates of these LUs are the uniqueness check.
 
 All dense work on a block of side up to ``ONE_THREAD_MAX_SIDE`` (the
 propagator's expm, the squarings, the baby and giant steps and weight-row
@@ -42,8 +40,8 @@ or 20-150 ms from one call to the next. Below the limit the second thread
 also keeps OpenBLAS threads spinning beside the rest of the run: a spectrum
 run used about twice its wall time in CPU time.
 
-Both propagation paths read the same CSR generator; they are cross-checked
-against each other in the test suite.
+Both propagation kernels read the same real generator; they are
+cross-checked against each other in the test suite.
 """
 
 from __future__ import annotations
@@ -215,10 +213,6 @@ class Liouvillian:
         mat-vec with :attr:`sparse`."""
         return _unvec(self.sparse @ _vec(mat), self.space.total_dim)
 
-    def _dense_block(self, block: np.ndarray) -> np.ndarray:
-        """L restricted to an invariant block, as a fresh dense array."""
-        return self.sparse[block][:, block].toarray()
-
     def _hermitian_basis(self, block: np.ndarray) -> scipy.sparse.csr_array:
         """Unitary U whose columns are the orthonormal Hermitian operator basis
         of ``block``: rho_ii at its own position, and
@@ -252,7 +246,7 @@ class Liouvillian:
     def _real_generator(self, block: np.ndarray):
         """(U, L_r): the Hermitian basis of ``block`` (:meth:`_hermitian_basis`)
         and L restricted to the block in that basis, L_r = U^dag L_b U, as a
-        real CSR array.
+        real CSC array.
 
         L maps Hermitian matrices to Hermitian matrices, so L_r is real. Raises
         ``ValidationError`` when it is not real to rounding, as for a
@@ -358,8 +352,8 @@ class Trajectory:
     records for pre-registered observables (``expectations``) are stored; the
     final state is always available. ``method`` is the propagation path
     taken, "expm" or "adaptive", and ``propagation_side`` the side of the
-    space it propagated on: an invariant block of the superoperator on the
-    "expm" path, the whole superoperator on the adaptive one.
+    space it propagated on, on either path: the transposition-closed union of
+    invariant blocks that holds the initial state.
     """
 
     times: np.ndarray
@@ -441,53 +435,48 @@ def _real_product(x: np.ndarray, prop: np.ndarray) -> np.ndarray:
     return (parts[:half] + 1j * parts[half:]).reshape(x.shape)
 
 
+def _real_if_exact(x: np.ndarray) -> np.ndarray:
+    """x as a real array when its imaginary part is exactly zero."""
+    return x if x.imag.any() else x.real.copy()
+
+
 def _expm_scan(
     liouvillian: Liouvillian,
-    x0: np.ndarray,
+    y0: np.ndarray,
     n_steps: int,
     dt: float,
-    weight_rows: np.ndarray | None = None,
+    weights: np.ndarray | None = None,
+    values: np.ndarray | None = None,
     keep_states: bool = False,
     *,
     block: np.ndarray,
     final: bool = True,
 ):
-    """Propagate x0, restricted to the invariant ``block`` as are the weight
-    rows, through n_steps of the propagator of L on that block.
+    """Step the real coordinates y0 of a vector on the invariant ``block``
+    through n_steps of P_r = expm(L_r dt) (:meth:`Liouvillian.propagator`).
 
-    Returns (values, states, x_final) where ``values[r, k]`` is
-    weight_rows[r] . x(k dt) including k = 0, and ``states`` collects every
-    x(k dt) when requested. The scan runs in the real coordinates of
-    :meth:`Liouvillian.propagator`: the seed goes in as y0 = U^dag x0 (real
-    for a Hermitian x0; a complex one is stepped as its real and imaginary
-    parts), the weight rows as W U, and kept states and x_final come back as
-    U y. Every product with P_r or its powers is real. One loop keeps the
-    baby states P_r^b y0 for b < m, with m from :func:`_block_size` for a
-    values-only scan and n_steps + 1 (the plain chain) otherwise. A shorter
-    m splits k = a m + b and steps the weight rows by P_r^m, so
-    values[:, a m + b] = (W U P_r^(a m)) (P_r^b y0), and reaches x_final by
-    further giant steps. x_final is None when ``final`` is not set.
+    Fills ``values[r, k] = weights[r] . y(k dt)`` for k >= 1 (column 0 is the
+    caller's) and returns (ys, y_final): every y(k dt), k = 0..n_steps, as
+    the columns of ys when ``keep_states`` (else None), and y(n_steps dt)
+    (None when ``final`` is not set). Every product with P_r or its powers
+    is real; a complex y0 or weight row is stepped as its real and imaginary
+    parts. One loop keeps the baby states P_r^b y0 for b < m, with m from
+    :func:`_block_size` for a values-only scan and n_steps + 1 (the plain
+    chain) otherwise. A shorter m splits k = a m + b and steps the weight
+    rows by P_r^m, so values[:, a m + b] = (W U P_r^(a m)) (P_r^b y0), and
+    reaches y_final by further giant steps.
     """
-    values = None
-    if weight_rows is not None:
-        values = np.empty((weight_rows.shape[0], n_steps + 1), dtype=complex)
-        values[:, 0] = weight_rows @ x0
-    states = [x0.copy()] if keep_states else None
     if n_steps == 0:
-        return values, states, x0.copy()
+        return (y0[:, None] if keep_states else None), y0
 
-    with _dense_threads(x0.size):
+    with _dense_threads(y0.size):
         prop = liouvillian.propagator(dt, block)
-        u = liouvillian._hermitian_basis(block)
-        y = u.conj().T @ x0
-        if not y.imag.any():
-            y = y.real.copy()
         m = n_steps + 1
-        if weight_rows is not None and not keep_states:
-            m = _block_size(x0.size, n_steps, weight_rows.shape[0])
+        if values is not None and not keep_states:
+            m = _block_size(y0.size, n_steps, weights.shape[0])
         # P_r y is taken as the row product y P_r^T: _real_product stacks rows.
-        babies = np.empty((min(m, n_steps + 1), y.size), dtype=y.dtype)
-        babies[0] = y
+        babies = np.empty((min(m, n_steps + 1), y0.size), dtype=y0.dtype)
+        babies[0] = y0
         for b in range(1, babies.shape[0]):
             babies[b] = _real_product(babies[b - 1], prop.T)
         prop_m = prop
@@ -495,40 +484,41 @@ def _expm_scan(
             for _ in range(m.bit_length() - 1):
                 prop_m = prop_m @ prop_m
         if values is not None:
-            weights = weight_rows @ u
-            if not weights.imag.any():
-                weights = weights.real.copy()
             for first in range(0, n_steps + 1, m):
                 if first:
                     weights = _real_product(weights, prop_m)
                 start, stop = max(first, 1), min(first + m, n_steps + 1)
                 values[:, start:stop] = weights @ babies[start - first : stop - first].T
-        if keep_states:
-            states.extend((u @ babies[1:].T).T)
+        ys = babies.T if keep_states else None
         if not final:
-            return values, states, None
+            return ys, None
         giant, b = divmod(n_steps, m)
         y = babies[b]
         for _ in range(giant):
             y = _real_product(y, prop_m.T)
-        return values, states, u @ y
+        return ys, y
 
 
 def _adaptive_scan(
     liouvillian: Liouvillian,
-    x0: np.ndarray,
+    y0: np.ndarray,
     times: np.ndarray,
     rtol: float,
     atol: float,
+    *,
+    block: np.ndarray,
 ) -> np.ndarray:
-    """Adaptive integration of dx/dt = L x; returns x at each requested time."""
+    """DOP853 on dy/dt = L_r y, with L_r of :meth:`Liouvillian._real_generator`
+    on ``block`` as a real CSR array; returns y at each requested time as the
+    columns of an array."""
     import scipy.integrate  # here, not at module level: its import takes 0.17-0.31 s (2 cores)
 
-    d = liouvillian.space.total_dim
+    # CSR: its mat-vec took a third of the CSC one's time at side 9604
+    real_gen = liouvillian._real_generator(block)[1].tocsr()
     sol = scipy.integrate.solve_ivp(
-        lambda _t, y: _vec(liouvillian.apply(_unvec(y, d))),
+        lambda _t, y: real_gen @ y,
         (times[0], times[-1]),
-        x0,
+        y0,
         method="DOP853",
         t_eval=times,
         rtol=rtol,
@@ -562,48 +552,51 @@ def _propagate(
     """Propagate the vectorized state x0 over a checked time grid.
 
     ``method="auto"`` takes exponential stepping on uniform grids of at
-    least 3 points, adaptive integration otherwise. Exponential stepping
-    runs on the union of invariant blocks that holds the nonzero entries of
-    x0 and their transposes (:meth:`Liouvillian.invariant_block`): x0 and
-    the weight rows are restricted to it and the kept states and x_final
-    embedded back. Returns the resolved method, the side of the space
-    propagated on, tr(weight_ops[r] x(times[k])) as ``values[r, k]`` (or
-    None), every x(t) when ``keep_states`` (or None), and x at the last time
-    (None on the exponential path when ``final`` is not set).
+    least 3 points, adaptive integration otherwise. Both kernels step the
+    real coordinates of the module docstring on the union of invariant
+    blocks that holds the nonzero entries of x0 and their transposes
+    (:meth:`Liouvillian.invariant_block`); a zero x0 has an empty block and
+    stays zero. Returns the resolved method, the side of that block,
+    tr(weight_ops[r] x(times[k])) as ``values[r, k]`` (or None), every x(t)
+    when ``keep_states`` (or None), and x at the last time (None on the
+    exponential path when ``final`` is not set).
     """
     if method == "auto":
         method = "expm" if times.size >= 3 and _is_uniform(times) else "adaptive"
-    weight_rows = None
+    if method not in ("expm", "adaptive"):
+        raise ValueError(f"unknown propagation method {method!r}")
+    if method == "expm" and not _is_uniform(times):
+        raise ValueError("expm propagation requires a uniform time grid")
+    side, block = x0.size, liouvillian.invariant_block(x0)
+    x0 = x0[block]
+    u = liouvillian._hermitian_basis(block)
+    y0 = _real_if_exact(u.conj().T @ x0)
+    weights = values = None
     if weight_ops:
         for op in weight_ops:
             if op.space != liouvillian.space:
                 raise ValueError("weight operator lives on a different space")
-        weight_rows = np.stack([_vec(np.ascontiguousarray(op.matrix.T)) for op in weight_ops])
+        rows = np.stack([_vec(np.ascontiguousarray(op.matrix.T)) for op in weight_ops])[:, block]
+        weights = _real_if_exact(rows @ u)
+        values = np.empty((rows.shape[0], times.size), dtype=complex)
+        values[:, 0] = rows @ x0
 
-    side = x0.size
     if method == "expm":
-        if not _is_uniform(times):
-            raise ValueError("expm propagation requires a uniform time grid")
         dt = float(times[1] - times[0]) if times.size > 1 else 0.0
-        block = liouvillian.invariant_block(x0)
-        values, columns, x_final = _expm_scan(
-            liouvillian, x0[block], times.size - 1, dt,
-            weight_rows=None if weight_rows is None else weight_rows[:, block],
-            keep_states=keep_states, block=block, final=final,
+        ys, y_final = _expm_scan(
+            liouvillian, y0, times.size - 1, dt, weights, values, keep_states,
+            block=block, final=final,
         )
-        if columns is not None:
-            columns = [_embed(c, block, side) for c in columns]
-        if x_final is not None:
-            x_final = _embed(x_final, block, side)
-        side = block.size
-    elif method == "adaptive":
-        y = _adaptive_scan(liouvillian, x0, times, rtol, atol)
-        values = weight_rows @ y if weight_rows is not None else None
-        columns = list(y.T) if keep_states else None
-        x_final = y[:, -1]
     else:
-        raise ValueError(f"unknown propagation method {method!r}")
-    return method, side, values, columns, x_final
+        ys = _adaptive_scan(liouvillian, y0, times, rtol, atol, block=block)
+        y_final = ys[:, -1]
+        if values is not None:
+            values[:, 1:] = weights @ ys[:, 1:]
+    columns = None
+    if keep_states:
+        columns = [_embed(x, block, side) for x in (x0, *(u @ ys[:, 1:]).T)]
+    x_final = None if y_final is None else _embed(u @ y_final, block, side)
+    return method, block.size, values, columns, x_final
 
 
 def evolve(
@@ -620,9 +613,12 @@ def evolve(
     ``method="auto"`` resolves to exact exponential stepping ("expm") on
     uniform grids of at least 3 points up to superoperator side
     ``DENSE_MAX_SIDE`` and to adaptive integration at the tolerance contract
-    ``rtol``/``atol`` otherwise; the path taken is recorded on the
-    trajectory. With ``observables`` given (name -> operator), expectation
-    records are stored instead of per-time states.
+    ``rtol``/``atol`` otherwise; the path taken and the side of the invariant
+    block it ran on are recorded on the trajectory. Both paths step the real
+    Hermitian coordinates rho_ii, sqrt(2) Re rho_ij and sqrt(2) Im rho_ij of
+    that block, and ``rtol``/``atol`` act on them component by component.
+    With ``observables`` given (name -> operator), expectation records are
+    stored instead of per-time states.
     """
     if rho0.space != liouvillian.space:
         raise ValueError("initial state lives on a different space")
@@ -691,7 +687,7 @@ def _checked_lu(m: np.ndarray, what: str):
 
 
 def steady_state(liouvillian: Liouvillian) -> DensityMatrix:
-    """Unique stationary state, via a trace-constrained kernel solve per block.
+    """Unique stationary state, via a trace-constrained kernel solve.
 
     The kernel of L is the direct sum of the kernels of its invariant blocks
     (:attr:`Liouvillian.blocks`). Every block that holds a population
@@ -703,12 +699,15 @@ def steady_state(liouvillian: Liouvillian) -> DensityMatrix:
     :meth:`Liouvillian._real_generator` (which raises ``ValidationError``
     for a generator that is not real there). That bordered system is
     singular exactly when the block's kernel has dimension > 1, and every
-    other block is singular exactly when it holds a stationary coherence; so
-    the kernel check is LAPACK's reciprocal-condition estimate of each
-    block's LU, O(n_b^2) after the factorization: every block is factored
-    and checked, at every size, and below n_b * eps the steady state is
-    reported as not unique, never silently resolved. A generator without a
-    kernel fails the stationarity-residual check that follows the solve.
+    other block B is singular exactly when it holds a stationary coherence,
+    and so is L_r on its union with its transposed image B'
+    (:meth:`Liouvillian.invariant_block`): it is unitarily similar to
+    diag(L_B, L_B'), and L_B' is L_B conjugated and permuted. So the kernel
+    check is LAPACK's reciprocal-condition estimate of each real LU, O(n^2)
+    after the factorization: every block is covered, at every size, and
+    below n * eps the steady state is reported as not unique, never silently
+    resolved. A generator without a kernel fails the stationarity-residual
+    check that follows the solve.
     """
     d = liouvillian.space.total_dim
     blocks = liouvillian.blocks
@@ -732,9 +731,11 @@ def steady_state(liouvillian: Liouvillian) -> DensityMatrix:
     b[0] = 1.0
     lu = _checked_lu(m, "the trace-bordered system")
     for other in blocks:
-        if other is not block:
+        union = liouvillian.invariant_block(np.arange(d * d) == other[0])
+        if other is not block and union[0] == other[0]:  # once per union
             _checked_lu(
-                liouvillian._dense_block(other), f"an invariant block of side {other.size}"
+                liouvillian._real_generator(union)[1].toarray(),
+                f"an invariant block union of side {union.size}",
             )
     y = scipy.linalg.lu_solve(lu, b)
     # One refinement pass tightens the residual at negligible cost.

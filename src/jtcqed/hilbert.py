@@ -25,7 +25,6 @@ __all__ = [
     "DensityMatrix",
     "identity",
     "annihilation",
-    "creation",
     "number_operator",
     "pauli",
     "qubit_lowering",
@@ -177,10 +176,6 @@ def annihilation(space: SpaceSpec, mode_index: int) -> QOperator:
     ns = np.arange(1, d)
     a[ns - 1, ns] = np.sqrt(ns)
     return QOperator(space, _embed(space, {mode_index: a}))
-
-
-def creation(space: SpaceSpec, mode_index: int) -> QOperator:
-    return annihilation(space, mode_index).dag()
 
 
 def number_operator(space: SpaceSpec, mode_index: int) -> QOperator:

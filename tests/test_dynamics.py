@@ -195,6 +195,24 @@ class TestInvariantBlocks:
         assert liou.invariant_block(x).size == x.size
 
 
+def expm_scan(liou, x0, n_steps, dt, weight_rows=None, keep_states=False, *, block, final=True):
+    """dynamics._expm_scan on x0 and weight rows restricted to ``block``, taken
+    to its real coordinates and back as ``dynamics._propagate`` does: returns
+    (values, states, x_final) on the block."""
+    u = liou._hermitian_basis(block)
+    values = weights = None
+    if weight_rows is not None:
+        weights = dynamics._real_if_exact(weight_rows @ u)
+        values = np.empty((weight_rows.shape[0], n_steps + 1), dtype=complex)
+        values[:, 0] = weight_rows @ x0
+    ys, y_final = dynamics._expm_scan(
+        liou, dynamics._real_if_exact(u.conj().T @ x0), n_steps, dt, weights, values,
+        keep_states, block=block, final=final,
+    )
+    states = None if ys is None else list((u @ ys).T)
+    return values, states, None if y_final is None else u @ y_final
+
+
 class TestBlockPropagation:
     """Block-restricted scans against a full-space one-shot expm(L t) oracle."""
 
@@ -208,7 +226,7 @@ class TestBlockPropagation:
         return scipy.linalg.expm(liou.matrix * t) @ x0
 
     def assert_propagator_matches_complex_expm(self, liou, dt, block):
-        oracle = scipy.linalg.expm(liou._dense_block(block) * dt)
+        oracle = scipy.linalg.expm(liou.sparse[block][:, block].toarray() * dt)
         real_prop = liou.propagator(dt, block)
         assert real_prop.dtype == np.float64 and not real_prop.flags.writeable
         u = liou._hermitian_basis(block).toarray()
@@ -280,14 +298,54 @@ class TestBlockPropagation:
             np.trace(n1.matrix @ oracle), abs=1e-12
         )
 
+    def test_adaptive_evolve_runs_on_parity_block(self):
+        liou = self.linear()
+        d = BLOCK_SPACE.total_dim
+        rho0 = DensityMatrix.from_pure(BLOCK_SPACE, basis_ket(BLOCK_SPACE, [1, 0], ["e"]))
+        times = np.linspace(0.0, 40.0, 9)
+        adaptive = evolve(liou, rho0, times, method="adaptive")
+        exact = evolve(liou, rho0, times, method="expm")
+        assert adaptive.propagation_side == exact.propagation_side == d * d // 2
+        for sa, se in zip(adaptive.states, exact.states):
+            assert np.abs(sa.matrix - se.matrix).max() <= 1e-7
+
+    def test_adaptive_correlation_matches_oracle(self):
+        # a non-uniform delay grid: the complex seed a rho_ss on its parity
+        # block, integrated adaptively
+        liou = self.linear()
+        rho = steady_state(liou)
+        a = annihilation(BLOCK_SPACE, 0)
+        taus = np.array([0.0, 1.0, 3.0, 7.0, 15.0, 40.0])
+        series = correlation(liou, rho, a.dag(), a, taus)
+        assert series.metadata["method"] == "adaptive"
+        assert series.metadata["propagation_side"] == BLOCK_SPACE.total_dim**2 // 2
+        x0 = (a.matrix @ rho.matrix).ravel(order="F")
+        row = a.dag().matrix.T.ravel(order="F")
+        oracle = np.array([row @ self.oracle(liou, x0, t) for t in taus])
+        assert np.abs(series.values - oracle).max() <= 1e-7 * np.abs(oracle).max()
+
+    def test_adaptive_rhs_is_real_generator(self, monkeypatch):
+        # the adaptive right-hand side is the real block generator, never the
+        # complex whole-space mat-vec of Liouvillian.apply
+        liou = self.linear()
+        rho0 = DensityMatrix.from_pure(BLOCK_SPACE, basis_ket(BLOCK_SPACE, [1, 0], ["e"]))
+        calls = []
+        apply = dynamics.Liouvillian.apply
+        monkeypatch.setattr(
+            dynamics.Liouvillian, "apply", lambda self, mat: calls.append(1) or apply(self, mat)
+        )
+        traj = evolve(liou, rho0, [0.0, 1.0, 3.0, 7.0])
+        assert traj.method == "adaptive"
+        assert calls == []
+
     def test_discarded_final_state_is_not_stepped(self, rng, monkeypatch):
         liou = self.linear()
         x0 = random_density(BLOCK_SPACE, rng).matrix.ravel(order="F")
         rows = rng.standard_normal((1, x0.size)).astype(complex)
         monkeypatch.setattr(dynamics, "_block_size", lambda side, steps, n: 4)
         whole = np.arange(x0.size)
-        kept = dynamics._expm_scan(liou, x0, 11, 0.7, rows, block=whole)
-        dropped = dynamics._expm_scan(liou, x0, 11, 0.7, rows, block=whole, final=False)
+        kept = expm_scan(liou, x0, 11, 0.7, rows, block=whole)
+        dropped = expm_scan(liou, x0, 11, 0.7, rows, block=whole, final=False)
         assert dropped[2] is None
         assert np.array_equal(kept[0], dropped[0])
 
@@ -449,13 +507,13 @@ class TestExpmScan:
         liou, x0, rows = self.scan_setup(rng, n_rows)
         dt = 0.7
         whole = np.arange(x0.size)
-        prop = scipy.linalg.expm(liou._dense_block(whole) * dt)
+        prop = scipy.linalg.expm(liou.sparse[whole][:, whole].toarray() * dt)
         chain = [x0]
         for _ in range(n_steps):
             chain.append(prop @ chain[-1])
         expected = rows @ np.array(chain).T
         monkeypatch.setattr(dynamics, "_block_size", lambda side, steps, n: self.BLOCK)
-        values, states, x_final = dynamics._expm_scan(
+        values, states, x_final = expm_scan(
             liou, x0, n_steps, dt, weight_rows=rows, block=whole
         )
         assert states is None
@@ -478,7 +536,7 @@ class TestExpmScan:
         x0 = x0[block]
         rows = rng.standard_normal((2, x0.size)) + 1j * rng.standard_normal((2, x0.size))
         n_steps, dt = 2 * self.BLOCK + 3, 0.7
-        prop = scipy.linalg.expm(liou._dense_block(block) * dt)
+        prop = scipy.linalg.expm(liou.sparse[block][:, block].toarray() * dt)
         chain = [x0]
         for _ in range(n_steps):
             chain.append(prop @ chain[-1])
@@ -486,7 +544,7 @@ class TestExpmScan:
         monkeypatch.setattr(
             dynamics, "_block_size", lambda side, steps, n: block_size or steps + 1
         )
-        values, _, x_final = dynamics._expm_scan(
+        values, _, x_final = expm_scan(
             liou, x0, n_steps, dt, weight_rows=rows, block=block
         )
         assert np.abs(values - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -499,12 +557,12 @@ class TestExpmScan:
             dynamics, "_block_size", lambda side, steps, n: sizes.append(steps) or self.BLOCK
         )
         whole = np.arange(x0.size)
-        _, states, x_final = dynamics._expm_scan(
+        _, states, x_final = expm_scan(
             liou, x0, 9, 0.7, rows, keep_states=True, block=whole
         )
         assert sizes == []
         assert len(states) == 10 and np.array_equal(states[-1], x_final)
-        prop = scipy.linalg.expm(liou._dense_block(whole) * 0.7)
+        prop = scipy.linalg.expm(liou.sparse[whole][:, whole].toarray() * 0.7)
         expected = x0
         for state in states:
             assert np.abs(state - expected).max() <= 1e-13 * np.abs(expected).max()
@@ -696,10 +754,18 @@ class TestSteadyState:
             scipy.linalg, "lu_factor", lambda m: calls.append((m.shape[0], m.dtype)) or lu_factor(m)
         )
         steady_state(liou)
-        assert sorted(size for size, _ in calls) == sorted(block.size for block in liou.blocks)
-        assert len(calls) == 5
-        # the population block, factored first, is real in the Hermitian basis
-        assert [dtype for _, dtype in calls] == [np.float64] + [np.complex128] * 4
+        # five coherence-order blocks n2 - n2' = -2..2; transposition pairs
+        # +-1 and +-2, so one LU per closed union: {0}, {+-1}, {+-2}
+        assert len(liou.blocks) == 5
+        side = BLOCK_SPACE.total_dim**2
+        unions = {
+            frozenset(liou.invariant_block(np.arange(side) == block[0])) for block in liou.blocks
+        }
+        assert len(calls) == len(unions) == 3
+        assert sorted(size for size, _ in calls) == sorted(len(union) for union in unions)
+        assert sum(size for size, _ in calls) == side
+        # every LU is real, in the Hermitian basis
+        assert all(dtype == np.float64 for _, dtype in calls)
 
     def test_small_lus_on_one_blas_thread(self, monkeypatch):
         if not _blas.setters():
@@ -817,6 +883,18 @@ class TestCorrelation:
         combined_b = corr(ops[2], alpha * ops[0] + beta * ops[1])
         split_b = alpha * corr(ops[2], ops[0]) + beta * corr(ops[2], ops[1])
         assert np.abs(combined_b - split_b).max() <= 1e-10
+
+    def test_zero_seed_stays_zero(self):
+        # B = 0: an empty invariant block on both paths
+        space, liou = thermal_cavity(kappa=0.05)
+        rho = steady_state(liou)
+        a = annihilation(space, 0)
+        taus = np.linspace(0.0, 20.0, 6)
+        for method in ("adaptive", "expm"):
+            series = correlation(liou, rho, a.dag(), 0.0 * a, taus, method=method)
+            assert series.metadata["method"] == method
+            assert series.metadata["propagation_side"] == 0
+            assert np.array_equal(series.values, np.zeros(taus.size))
 
     def test_rejects_non_stationary_state(self):
         space, liou = thermal_cavity(kappa=0.05)
