@@ -42,6 +42,13 @@ run used about twice its wall time in CPU time.
 
 Both propagation kernels read the same real generator; they are
 cross-checked against each other in the test suite.
+
+SciPy loads on first use: the module imports only the ``scipy`` package
+(its submodules load on first attribute access), so an eigenscan never loads
+``scipy.linalg`` or ``scipy.sparse``. SciPy links its own OpenBLAS, which
+:func:`_dense_threads` maps by loading ``scipy.linalg`` before any dense
+work, and so before it holds the BLAS count at one thread: the first LU or
+expm of a process runs on one thread like every later one.
 """
 
 from __future__ import annotations
@@ -53,9 +60,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.csgraph
+import scipy
 
 from . import _blas
 from .errors import (
@@ -421,8 +426,18 @@ def _block_size(side: int, n_steps: int, n_rows: int) -> int:
 def _dense_threads(side: int):
     """Context for the dense work on a block of this side: one BLAS thread
     up to ``ONE_THREAD_MAX_SIDE``, the default count above it (see the
-    module docstring)."""
-    return _blas.single_thread() if side <= ONE_THREAD_MAX_SIDE else nullcontext()
+    module docstring).
+
+    ``scipy.linalg`` loads here on first use, with the OpenBLAS it links, at
+    every side: so that library is mapped before the count is set and is
+    held with the others, and the import's allocations come before the
+    block's dense arrays. Loaded between them, inside the first side-1024
+    expm, it left the transient benchmark's median round 3-15 % slower (8 of
+    8 pairs, 2 cores)."""
+    scipy.linalg  # the attribute access is the import
+    if side > ONE_THREAD_MAX_SIDE:
+        return nullcontext()
+    return _blas.single_thread()
 
 
 def _real_product(x: np.ndarray, prop: np.ndarray) -> np.ndarray:
@@ -510,9 +525,9 @@ def _adaptive_scan(
 ) -> np.ndarray:
     """DOP853 on dy/dt = L_r y, with L_r of :meth:`Liouvillian._real_generator`
     on ``block`` as a real CSR array; returns y at each requested time as the
-    columns of an array."""
-    import scipy.integrate  # here, not at module level: its import takes 0.17-0.31 s (2 cores)
-
+    columns of an array, y0 alone for a one-point grid."""
+    if times.size == 1:  # nothing to integrate
+        return y0[:, None]
     # CSR: its mat-vec took a third of the CSC one's time at side 9604
     real_gen = liouvillian._real_generator(block)[1].tocsr()
     sol = scipy.integrate.solve_ivp(

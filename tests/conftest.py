@@ -1,6 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import jtcqed
 from jtcqed import DensityMatrix, QOperator, SpaceSpec
 
 
@@ -36,3 +43,44 @@ def truncated_geometric(dim: int, nbar: float) -> np.ndarray:
     q = nbar / (1.0 + nbar)
     p = q ** np.arange(dim)
     return p / p.sum()
+
+
+def bundled_openblas() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return sys.platform == "linux" and "openblas" in blas["name"]
+
+
+# Source of ``openblas_counts()`` for scripts run by :func:`run_fresh`: the
+# thread count of every OpenBLAS library mapped into the process, by file
+# name, found and read without jtcqed._blas. openblas_set_num_threads_local
+# returns the count it replaces, which is set back at once.
+OPENBLAS_COUNTS = """
+import ctypes
+import os
+
+
+def openblas_counts():
+    with open("/proc/self/maps") as maps:
+        paths = {line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line}
+    counts = {}
+    for path in sorted(paths):
+        fn = ctypes.CDLL(path, mode=os.RTLD_NOLOAD).openblas_set_num_threads_local
+        fn.argtypes, fn.restype = [ctypes.c_int], ctypes.c_int
+        counts[os.path.basename(path)] = fn(1)
+        fn(counts[os.path.basename(path)])
+    return counts
+"""
+
+
+def run_fresh(script: str, *args: str) -> dict:
+    """Run ``script`` in a fresh interpreter on the src/ under test, with
+    ``args`` as its argv[1:]; returns its last line of stdout, parsed as
+    JSON. OpenBLAS is asked for two threads there, so a count left at the
+    default reads as one only on a host with one CPU."""
+    src = str(Path(jtcqed.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="2")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])

@@ -257,6 +257,16 @@ class TestG2:
         nbar = standard.metadata["reference_occupation"]
         assert verbatim.values[0] == pytest.approx(standard.values[0] * nbar, rel=1e-10)
 
+    def test_one_point_grid(self):
+        # auto takes the adaptive path on one point; it agrees with the
+        # first point of a grid long enough for the exponential path
+        space, liou = thermal_cavity(kappa=0.05)
+        rho0 = DensityMatrix.from_pure(space, coherent_ket(5, 0.6))
+        one = g2(liou, rho0, taus=[0.0], reference=(0.0, rho0))
+        three = g2(liou, rho0, taus=[0.0, 1.0, 2.0], reference=(0.0, rho0))
+        assert (one.metadata["method"], three.metadata["method"]) == ("adaptive", "expm")
+        assert np.array_equal(one.values, three.values[:1])
+
     def test_qubit_target_starts_blocked(self):
         space = SpaceSpec((2, 2), 1)
         h = build_dimensionless_hamiltonian(space, 0.1, 0.0)

@@ -1,10 +1,11 @@
 import sys
 import threading
 
-import numpy as np
 import pytest
 
 from jtcqed import _blas
+
+from conftest import OPENBLAS_COUNTS, bundled_openblas, run_fresh
 
 
 def counts():
@@ -16,9 +17,27 @@ def counts():
     return values
 
 
-def bundled_openblas():
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return sys.platform == "linux" and "openblas" in blas["name"]
+# NumPy's OpenBLAS alone is held; SciPy's is mapped after that hold is
+# released ("after") or while it lasts ("inside"), and then held too.
+LATE_LIBRARY = OPENBLAS_COUNTS + """
+import json
+import sys
+
+from jtcqed import _blas
+
+alone = openblas_counts()
+with _blas.single_thread():
+    first = openblas_counts()
+    if sys.argv[1] == "inside":
+        import scipy.linalg
+        with _blas.single_thread():
+            second = openblas_counts()
+if sys.argv[1] == "after":
+    import scipy.linalg
+    with _blas.single_thread():
+        second = openblas_counts()
+print(json.dumps({"alone": alone, "first": first, "second": second, "after": openblas_counts()}))
+"""
 
 
 @pytest.mark.skipif(not bundled_openblas(), reason="NumPy is not built on OpenBLAS on Linux")
@@ -76,3 +95,14 @@ class TestSingleThread:
         assert not any(t.is_alive() for t in threads)
         assert _blas._holders == 0
         assert counts() == before
+
+    @pytest.mark.parametrize("mapped", ["after", "inside"])
+    def test_library_mapped_after_first_lookup(self, mapped):
+        out = run_fresh(LATE_LIBRARY, mapped)
+        (default,) = out["alone"].values()
+        if default == 1:
+            pytest.skip("OpenBLAS runs on one thread by default on this host")
+        assert out["first"] == {name: 1 for name in out["alone"]}
+        assert len(out["second"]) == 2
+        assert set(out["second"].values()) == {1}
+        assert out["after"] == {name: default for name in out["second"]}

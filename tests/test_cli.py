@@ -1,21 +1,18 @@
 import configparser
 import json
 import math
-import os
-import subprocess
-import sys
 import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import jtcqed
 from jtcqed import SpaceSpec, build_dimensionless_hamiltonian, eigen_lowest
-from jtcqed import cli
+from jtcqed import cli, dynamics
 from jtcqed.cli import main
 from jtcqed.config import config_from_mapping
 from jtcqed.presets import PRESETS
+
+from conftest import OPENBLAS_COUNTS, bundled_openblas, run_fresh
 
 
 def write_config(path, body):
@@ -339,6 +336,34 @@ class TestTaskRuns:
         assert manifest["notes"]["method"] == "expm"
         assert manifest["notes"]["propagation_side"] == 64
 
+    def test_one_point_imbalance_run(self, tmp_path):
+        out = tmp_path / "imb.csv"
+        cfg = write_config(
+            tmp_path / "run.ini",
+            f"""
+            [run]
+            task = imbalance
+
+            [model]
+            k = 0.1
+            delta = 0.2
+            fock_dims = 2, 2
+
+            [numerics]
+            times = 0
+            initial_state = 1,0,e
+
+            [output]
+            path = {out}
+            """,
+        )
+        assert main(["run", cfg]) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 2
+        assert [float(v) for v in lines[1].split(",")] == pytest.approx([0.0, 1.0, 0.0, 1.0], abs=1e-12)
+        manifest = json.loads((tmp_path / "imb.manifest.json").read_text())
+        assert manifest["notes"]["method"] == "adaptive"
+
     def test_imbalance_missing_values_are_empty_fields(self, tmp_path):
         out = tmp_path / "imb.csv"
         cfg = write_config(
@@ -605,19 +630,41 @@ class TestCsvWriter:
         assert cells[0] == cells[3] == "" and all(cells[1:3])
 
 
-COLD_START = """
+# SciPy's submodules, none of which importing the package may load.
+LAZY = (
+    "scipy.linalg", "scipy.sparse", "scipy.sparse.csgraph", "scipy.signal", "scipy.integrate",
+    "scipy.stats",
+)
+
+COLD_IMPORT = f"""
 import json
 import sys
 import threading
 
 import numpy as np
 
-import jtcqed
+# A BLAS lookup reads /proc/self/maps and binds through ctypes.dlopen.
+lookups = []
+recording = True
+
+
+def audit(event, args):
+    if recording and (event == "ctypes.dlopen" or (event == "open" and args[0] == "/proc/self/maps")):
+        lookups.append(event)
+
+
+sys.addaudithook(audit)
 import jtcqed.cli
 
-lazy = ("scipy.signal", "scipy.integrate", "scipy.stats")
-loaded = [name for name in lazy if name in sys.modules]
-blas_lookups = jtcqed._blas.setters.cache_info().currsize
+recording = False
+
+
+def loaded():
+    return [name for name in {LAZY!r} if name in sys.modules]
+"""
+
+COLD_START = COLD_IMPORT + """
+at_import = loaded()
 threads = threading.active_count()
 
 omegas = np.linspace(-1.0, 1.0, 201)
@@ -634,29 +681,83 @@ exact = jtcqed.evolve(liou, rho0, times, method="expm")
 gap = max(np.abs(a.matrix - b.matrix).max() for a, b in zip(adaptive.states, exact.states))
 
 print(json.dumps({
-    "loaded": loaded, "blas_lookups": blas_lookups, "threads": threads,
+    "loaded": at_import, "lookups": lookups, "threads": threads,
     "peaks": peaks, "method": adaptive.method, "gap": float(gap),
+}))
+"""
+
+# argv: an eigenscan config, then "steady_state" or "evolve": the first dense
+# work of the process, on a block of side 32, after the eigenscan has held and
+# released NumPy's OpenBLAS alone.
+COLD_DENSE = COLD_IMPORT + OPENBLAS_COUNTS + """
+at_import = loaded()
+before = openblas_counts()
+jtcqed.cli.execute(jtcqed.config.load_config(sys.argv[1]))
+after_eigenscan = loaded()
+jtcqed.cli.main(["presets"])
+after_listing = loaded()
+
+seen = []
+
+
+def profile(frame, event, arg):
+    code = frame.f_code
+    if (
+        event == "call" and code.co_name in ("lu_factor", "expm")
+        and frame.f_globals.get("__name__", "").startswith("scipy.linalg")
+    ):
+        seen.append([code.co_name, openblas_counts()])
+
+
+space = jtcqed.SpaceSpec((2, 2), 1)
+h = jtcqed.build_dimensionless_hamiltonian(space, 0.05, 0.0)
+liou = jtcqed.build_liouvillian(h, jtcqed.DissipationParams())
+rho0 = jtcqed.DensityMatrix.from_pure(space, jtcqed.basis_ket(space, [1, 0], ["e"]))
+sys.setprofile(profile)
+if sys.argv[2] == "steady_state":
+    side = liou.invariant_block(np.eye(8).ravel()).size
+    jtcqed.steady_state(liou)
+else:
+    side = jtcqed.evolve(liou, rho0, np.linspace(0.0, 8.0, 5), method="expm").propagation_side
+sys.setprofile(None)
+
+print(json.dumps({
+    "loaded": [at_import, after_eigenscan, after_listing], "lookups": lookups,
+    "side": side, "before": before, "seen": seen, "after": openblas_counts(),
 }))
 """
 
 
 class TestColdStart:
     def test_signal_and_integrate_load_on_first_use(self):
-        # A fresh interpreter on the src/ under test: importing the package
-        # must not load the SciPy modules only spectrum_peaks and the
-        # adaptive integrator need, and both must still work afterwards.
-        src = str(Path(jtcqed.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-c", COLD_START], env=env, capture_output=True, text=True, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        out = json.loads(proc.stdout.splitlines()[-1])
+        # A fresh interpreter: importing the package loads no SciPy submodule,
+        # and every one of them still works on first use.
+        out = run_fresh(COLD_START)
         assert out["loaded"] == []
         # nor look up the BLAS libraries or start a thread
-        assert out["blas_lookups"] == 0
+        assert out["lookups"] == []
         assert out["threads"] == 1
         assert [omega for omega, _ in out["peaks"]] == pytest.approx([-0.3, 0.5])
         assert [power for _, power in out["peaks"]] == pytest.approx([0.5, 1.0], rel=1e-3)
         assert out["method"] == "adaptive"
         assert out["gap"] < 1e-6
+
+    @pytest.mark.skipif(not bundled_openblas(), reason="NumPy is not built on OpenBLAS on Linux")
+    @pytest.mark.parametrize("first", ["steady_state", "evolve"])
+    def test_first_dense_work_holds_scipy_blas(self, tmp_path, first):
+        # An eigenscan and the preset listing load no SciPy submodule; the
+        # first LU or expm after them runs every mapped OpenBLAS, SciPy's
+        # loaded just then among them, on one thread.
+        cfg = write_config(tmp_path / "run.ini", EIGENSCAN_CONFIG.format(out=tmp_path / "eig.csv"))
+        out = run_fresh(COLD_DENSE, cfg, first)
+        assert out["loaded"] == [[], [], []]
+        assert out["lookups"] == []
+        assert out["side"] <= dynamics.ONE_THREAD_MAX_SIDE
+        assert len(out["before"]) == 1  # NumPy's
+        kernel = "lu_factor" if first == "steady_state" else "expm"
+        assert kernel in [name for name, _ in out["seen"]]
+        for _, counts in out["seen"]:
+            assert len(counts) == 2
+            assert set(counts.values()) == {1}
+        assert len(out["after"]) == 2
+        assert all(out["after"][name] == count for name, count in out["before"].items())

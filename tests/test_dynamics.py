@@ -459,6 +459,29 @@ class TestMethodResolution:
         liou, rho0 = self.build()
         assert evolve(liou, rho0, [0.0, 5.0]).method == "adaptive"
 
+    def test_one_point_grid_is_the_seed(self):
+        # a one-point grid integrates nothing: the adaptive path returns the
+        # seed as its one column, as the exponential path does
+        liou, rho0 = self.build()
+        rho = steady_state(liou)
+        a = annihilation(SMALL, 0)
+        n = {"n": number_operator(SMALL, 0)}
+        exact = evolve(liou, rho0, [0.0], method="expm")
+        exact_n = evolve(liou, rho0, [0.0], method="expm", observables=n)
+        exact_corr = correlation(liou, rho, a.dag(), a, [0.0], method="expm")
+        for method in ("auto", "adaptive"):
+            traj = evolve(liou, rho0, [0.0], method=method)
+            assert traj.method == "adaptive"
+            assert len(traj.states) == 1
+            assert np.array_equal(traj.final_state.matrix, exact.final_state.matrix)
+            assert np.array_equal(traj.final_state.matrix, rho0.matrix)
+            recorded = evolve(liou, rho0, [0.0], method=method, observables=n)
+            assert np.array_equal(recorded.expectations["n"], exact_n.expectations["n"])
+            assert np.array_equal(recorded.final_state.matrix, exact_n.final_state.matrix)
+            series = correlation(liou, rho, a.dag(), a, [0.0], method=method)
+            assert series.metadata["method"] == "adaptive"
+            assert np.array_equal(series.values, exact_corr.values)
+
     def test_above_dense_limit_takes_adaptive(self, monkeypatch):
         liou, rho0 = self.build()
         monkeypatch.setattr(dynamics, "DENSE_MAX_SIDE", SMALL.total_dim**2 - 1)
