@@ -10,7 +10,6 @@ from .analysis import (
     EigenScanTable,
     WindowScan,
     eigen_scan,
-    find_reference_state,
     g2,
     imbalance,
     power_spectrum,

@@ -20,12 +20,8 @@ import scipy
 
 from . import _blas
 from .dynamics import (
-    ATOL,
-    RTOL,
     Liouvillian,
     _propagate,
-    _sym,
-    _unvec,
     _vec,
     check_time_grid,
     correlation,
@@ -50,7 +46,6 @@ __all__ = [
     "single_mode_window",
     "power_spectrum",
     "spectrum_peaks",
-    "find_reference_state",
     "g2",
     "imbalance",
 ]
@@ -201,6 +196,7 @@ def single_mode_window(
     The default tracks the ground state and the split first-excitation pair;
     higher levels of the strongly coupled spectrum contain near-degenerate
     spectator pairs that hybridize at any mismatch and would mask the window.
+    Raises ``ValueError`` unless the grid brackets delta = 0.
     """
     n2 = number_operator(space, 1).matrix.real
 
@@ -210,6 +206,8 @@ def single_mode_window(
         return np.abs(occ - np.round(occ)).max(axis=1)
 
     deltas, mixing = _hamiltonian_sweep(k, delta_grid, count, space, include_quadratic, solve)
+    if not deltas.min() <= 0.0 <= deltas.max():
+        raise ValueError("delta grid must bracket zero mismatch")
     center = int(np.argmin(np.abs(deltas)))
     if mixing[center] >= threshold:
         half_width = 0.0
@@ -323,78 +321,22 @@ def spectrum_peaks(series: SpectrumSeries, min_relative_prominence: float = 0.01
     return [(float(series.omegas[i]), float(values[i])) for i in idx]
 
 
-def find_reference_state(
-    liouvillian: Liouvillian,
-    rho0: DensityMatrix,
-    step: float | None = None,
-    tol: float = 1e-6,
-    cap: float | None = None,
-) -> tuple[float, DensityMatrix, bool]:
-    """First time at which transients have settled, and the state there.
-
-    Walks coarse exponential steps, on the invariant block that holds rho0
-    (one step of the exponential path of :func:`evolve` each), until the
-    trace-norm change over one step drops below ``tol``. The default step
-    and cap derive from the slowest decay channel (cap = 50 / rate,
-    step = cap / 100). Returns (t_star, state, settled); when the cap is
-    reached without settling the state at the cap is returned with
-    ``settled=False``. Raises ``ValueError`` unless step and cap are finite
-    and positive.
-    """
-    if rho0.space != liouvillian.space:
-        raise ValueError("initial state lives on a different space")
-    if cap is None or step is None:
-        rate = None
-        diss = liouvillian.dissipation
-        if diss is not None:
-            positive = [r for r in (diss.kappa1, diss.kappa2, diss.gamma) if r > 0]
-            if not positive and diss.gamma_phi > 0:
-                positive = [diss.gamma_phi]
-            if positive:
-                rate = min(positive)
-        if cap is None:
-            cap = 50.0 / rate if rate else 100.0
-        if step is None:
-            step = cap / 100.0
-    if not (0 < step < math.inf and 0 < cap < math.inf):
-        raise ValueError("step and cap must be finite and positive")
-
-    d = liouvillian.space.total_dim
-    grid = np.array([0.0, step])
-    # exactly Hermitian, so every step is one real column in the Hermitian basis
-    x = _vec(_sym(rho0.matrix))
-    t = 0.0
-    rho_prev = rho0.matrix
-    while True:
-        x = _propagate(liouvillian, x, grid, "expm")[4]
-        rho_next = _unvec(x, d)
-        diff = float(np.abs(np.linalg.eigvalsh(rho_next - rho_prev)).sum())
-        if diff < tol:
-            return t, DensityMatrix(liouvillian.space, rho_prev), True
-        t += step
-        rho_prev = rho_next
-        if t >= cap:
-            return t, DensityMatrix(liouvillian.space, rho_next), False
-
-
 def g2(
     liouvillian: Liouvillian,
     rho0: DensityMatrix,
+    taus,
     target: str = "resonator",
-    taus=None,
     normalization: str = "standard",
-    reference: tuple[float, DensityMatrix] | None = None,
-    settle_step: float | None = None,
-    settle_tol: float = 1e-6,
-    settle_cap: float | None = None,
 ) -> CorrelationSeries:
-    """Second-order coherence of the privileged mode or the qubit.
+    """Second-order coherence of the privileged mode or the qubit, referenced
+    to the state ``rho0``.
 
-    The initial state is evolved to a reference time t* where transients have
-    settled (recorded in the metadata), then the regression rule is applied
-    twice: G2(tau) = tr[O^dag O exp(L tau)(O rho* O^dag)]. The
-    ``normalization`` switch selects the denominator: "standard" divides by
-    <O^dag O>^2, "first_order" by <O^dag O>.
+    The regression rule is applied twice from rho0:
+    G2(tau) = tr[O^dag O exp(L tau)(O rho0 O^dag)]. A stationary g2 passes
+    ``steady_state(liouvillian)``; a transient one passes the state at its
+    reference time, such as an initial state or ``evolve(...).final_state``.
+    The ``normalization`` switch selects the denominator: "standard" divides
+    by <O^dag O>^2, "first_order" by <O^dag O>, both in rho0.
     """
     if target not in ("resonator", "qubit"):
         raise ValueError("target must be 'resonator' or 'qubit'")
@@ -410,21 +352,13 @@ def g2(
             raise ValueError("qubit target requires a qubit in the space")
         op = qubit_lowering(space)
 
-    settled = True
-    if reference is None:
-        t_star, rho_star, settled = find_reference_state(
-            liouvillian, rho0, step=settle_step, tol=settle_tol, cap=settle_cap
-        )
-    else:
-        t_star, rho_star = reference
-
-    nbar = expectation(op.dag() @ op, rho_star).real
+    nbar = expectation(op.dag() @ op, rho0).real
     if nbar < DENOMINATOR_FLOOR:
         raise UndefinedCoherenceError(
             f"occupation {nbar:.3e} at the reference time is below {DENOMINATOR_FLOOR}"
         )
 
-    seed = op.matrix @ rho_star.matrix @ op.matrix.conj().T
+    seed = op.matrix @ rho0.matrix @ op.matrix.conj().T
     weight = op.dag() @ op
     method, side, values, _, _ = _propagate(
         liouvillian, _vec(seed), taus, weight_ops=[weight], final=False
@@ -441,8 +375,6 @@ def g2(
             "normalization": normalization,
             "method": method,
             "propagation_side": side,
-            "t_star": t_star,
-            "settled": settled,
             "reference_occupation": nbar,
         },
     )
@@ -453,8 +385,6 @@ def imbalance(
     rho0: DensityMatrix,
     times,
     method: str = "auto",
-    rtol: float = RTOL,
-    atol: float = ATOL,
 ) -> ImbalanceSeries:
     """Per-mode photon numbers and normalized imbalance, propagated by ``evolve``."""
     space = liouvillian.space
@@ -469,8 +399,6 @@ def imbalance(
             "n1": number_operator(space, 0),
             "n2": number_operator(space, 1),
         },
-        rtol=rtol,
-        atol=atol,
     )
     n1 = traj.expectations["n1"].real
     n2 = traj.expectations["n2"].real

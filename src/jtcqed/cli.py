@@ -153,17 +153,16 @@ def _run_spectrum(cfg: RunConfig) -> tuple[list[str], list, dict]:
 
 
 def _run_g2(cfg: RunConfig) -> tuple[list[str], list, dict]:
-    # The coherence pipelines are transient: the reference time is the
+    # The coherence pipelines are transient: the reference state is the
     # configured initial state (t* = 0), so g2(0) reflects its statistics
-    # (a one-photon start reads exactly zero). The settle-search reference
-    # remains available through the library API for stationary analyses.
+    # (a one-photon start reads exactly zero). A stationary g2 passes
+    # steady_state(liouvillian) to the library's g2 instead.
     space = _space(cfg)
     liouvillian = _liouvillian(cfg, space)
     rho0 = _initial_state(cfg, space)
     taus = np.asarray(cfg.times, dtype=float)
     series_r, series_q = (
-        g2(liouvillian, rho0, target=target, taus=taus,
-           normalization=cfg.g2_normalization, reference=(0.0, rho0))
+        g2(liouvillian, rho0, taus, target=target, normalization=cfg.g2_normalization)
         for target in ("resonator", "qubit")
     )
     rows = list(zip(taus, series_r.values, series_q.values))
@@ -185,7 +184,7 @@ def _run_imbalance(cfg: RunConfig) -> tuple[list[str], list, dict]:
     liouvillian = _liouvillian(cfg, space)
     rho0 = _initial_state(cfg, space)
     times = np.asarray(cfg.times, dtype=float)
-    series = imbalance(liouvillian, rho0, times, rtol=cfg.rtol, atol=cfg.atol)
+    series = imbalance(liouvillian, rho0, times)
     rows = list(zip(series.times, series.n1, series.n2, series.z))
     tail = series.z[int(0.8 * series.z.size):]
     tail = tail[np.isfinite(tail)]
@@ -213,15 +212,15 @@ def _unbounded_warnings(cfg: RunConfig) -> list[str]:
     ] if flagged.any() else []
 
 
-# Each runner and the [dissipation]/[numerics] keys it reads (all read [model];
-# imbalance reads tolerances only on its adaptive path). Other keys set are
-# listed as unused in the manifest, not rejected: presets set them on eigenscans.
+# Each runner and the [dissipation]/[numerics] keys it reads (all read [model]).
+# Other keys set are listed as unused in the manifest, not rejected: presets
+# set them on eigenscans.
 _DISSIPATION = ("kappa1", "kappa2", "gamma", "gamma_phi", "n_th")
 _RUNNERS = {
     "eigenscan": (_run_eigenscan, ()),
     "spectrum": (_run_spectrum, (*_DISSIPATION, "tau_max", "n_samples", "correlation_ordering")),
     "g2": (_run_g2, (*_DISSIPATION, "times", "g2_normalization", "initial_state")),
-    "imbalance": (_run_imbalance, (*_DISSIPATION, "times", "tolerances", "initial_state")),
+    "imbalance": (_run_imbalance, (*_DISSIPATION, "times", "initial_state")),
 }
 
 
@@ -235,8 +234,6 @@ def execute(cfg: RunConfig, out_dir: str | None = None) -> str:
     run, reads = _RUNNERS[cfg.task]
     header, rows, notes = run(cfg)
     notes.setdefault("warnings", []).extend(_unbounded_warnings(cfg))
-    if notes.get("method") == "expm":
-        reads = set(reads) - {"tolerances"}
     notes["unused_keys"] = [key for key in cfg.given_keys if key not in reads]
     _write_csv(csv_path, header, rows, cfg.precision)
     _write_manifest(csv_path, cfg, notes, time.perf_counter() - start)

@@ -23,8 +23,6 @@ A config file has four nested sections mirroring the run layout::
     tau_max = 10000
     n_samples = 16384
     times = 0:3000:601          ; grid shorthand start:stop:count, or a list
-    tolerances = 1e-8, 1e-10    ; rtol, atol of imbalance's adaptive path only,
-                                ; on each coordinate rho_ii, sqrt2 Re/Im rho_ij
     correlation_ordering = emission
     g2_normalization = standard
     initial_state = 1,0,e       ; n1,n2,q with q one of e/g, inside fock_dims
@@ -67,7 +65,7 @@ _MODEL_KEYS = {
 }
 _DISSIPATION_KEYS = {"kappa1", "kappa2", "gamma", "gamma_phi", "n_th"}
 _NUMERICS_KEYS = {
-    "tau_max", "n_samples", "times", "tolerances",
+    "tau_max", "n_samples", "times",
     "correlation_ordering", "g2_normalization", "initial_state",
 }
 _OUTPUT_KEYS = {"path", "precision"}
@@ -90,8 +88,6 @@ class RunConfig:
     tau_max: float
     n_samples: int
     times: np.ndarray | None
-    rtol: float
-    atol: float
     correlation_ordering: str
     g2_normalization: str
     initial_state: str
@@ -124,7 +120,6 @@ class RunConfig:
                 "tau_max": self.tau_max,
                 "n_samples": self.n_samples,
                 "times": None if self.times is None else [float(self.times[0]), float(self.times[-1]), int(self.times.size)],
-                "tolerances": [self.rtol, self.atol],
                 "correlation_ordering": self.correlation_ordering,
                 "g2_normalization": self.g2_normalization,
                 "initial_state": self.initial_state,
@@ -159,8 +154,9 @@ def _parse_grid(text: str, name: str) -> np.ndarray:
 
 
 def _get(section: dict, key: str, default=None):
-    value = section.get(key, default)
-    if isinstance(value, str) and value.strip() == "":
+    """The key's value, or ``default`` when it is unset, None or blank."""
+    value = section.get(key)
+    if value is None or isinstance(value, str) and value.strip() == "":
         return default
     return value
 
@@ -319,22 +315,6 @@ def config_from_mapping(mapping: dict) -> RunConfig:
     if task in ("imbalance", "g2") and times is None:
         raise ConfigError(f"{task} requires a times grid")
 
-    tol_raw = _get(numerics, "tolerances")
-    rtol, atol = 1e-8, 1e-10
-    if tol_raw is not None:
-        if isinstance(tol_raw, str):
-            parts = [p for p in tol_raw.split(",") if p.strip()]
-        else:
-            parts = list(tol_raw)
-        if len(parts) != 2:
-            raise ConfigError("tolerances must be 'rtol, atol'")
-        try:
-            rtol, atol = float(parts[0]), float(parts[1])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"tolerances must be numbers: {exc}") from exc
-        if not (rtol > 0 and atol > 0 and math.isfinite(rtol) and math.isfinite(atol)):
-            raise ConfigError("tolerances must be positive and finite")
-
     ordering = _get(numerics, "correlation_ordering", "emission")
     if ordering not in ("emission", "as_printed"):
         raise ConfigError("correlation_ordering must be emission or as_printed")
@@ -351,9 +331,9 @@ def config_from_mapping(mapping: dict) -> RunConfig:
     if precision < 1 or precision > 17:
         raise ConfigError("precision must be between 1 and 17 significant digits")
 
-    if tau_max is not None and not (math.isfinite(tau_max) and tau_max > 0):
+    if not (math.isfinite(tau_max) and tau_max > 0):
         raise ConfigError("tau_max must be positive and finite")
-    if k is None or not math.isfinite(k):
+    if not math.isfinite(k):
         raise ConfigError("k must be finite")
 
     return RunConfig(
@@ -368,8 +348,6 @@ def config_from_mapping(mapping: dict) -> RunConfig:
         tau_max=tau_max,
         n_samples=n_samples,
         times=times,
-        rtol=rtol,
-        atol=atol,
         correlation_ordering=ordering,
         g2_normalization=g2_norm,
         initial_state=initial_state,

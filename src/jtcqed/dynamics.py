@@ -22,11 +22,11 @@ baby states y <- P_r y; a long values-only scan (correlations, observable
 records) stops it at m states and steps the few weight rows by the real
 power P_r^m instead, and every other scan runs it to the end, the plain
 chain. The adaptive kernel integrates dy/dt = L_r y by DOP853 with the real
-CSR of L_r, a complex y as it is, so its rtol and atol act component by
-component on those coordinates. The steady state is one real LU solve of
-the trace-bordered block that holds the populations; every other block is
-checked by a real LU on its union with its transposed image, and the
-condition estimates of these LUs are the uniqueness check.
+CSR of L_r, a complex y as it is, so its fixed tolerances ``RTOL`` and
+``ATOL`` act component by component on those coordinates. The steady state
+is one real LU solve of the trace-bordered block that holds the populations;
+every other block is checked by a real LU on its union with its transposed
+image, and the condition estimates of these LUs are the uniqueness check.
 
 All dense work on a block of side up to ``ONE_THREAD_MAX_SIDE`` (the
 propagator's expm, the squarings, the baby and giant steps and weight-row
@@ -518,14 +518,13 @@ def _adaptive_scan(
     liouvillian: Liouvillian,
     y0: np.ndarray,
     times: np.ndarray,
-    rtol: float,
-    atol: float,
     *,
     block: np.ndarray,
 ) -> np.ndarray:
-    """DOP853 on dy/dt = L_r y, with L_r of :meth:`Liouvillian._real_generator`
-    on ``block`` as a real CSR array; returns y at each requested time as the
-    columns of an array, y0 alone for a one-point grid."""
+    """DOP853 at ``RTOL``/``ATOL`` on dy/dt = L_r y, with L_r of
+    :meth:`Liouvillian._real_generator` on ``block`` as a real CSR array;
+    returns y at each requested time as the columns of an array, y0 alone
+    for a one-point grid."""
     if times.size == 1:  # nothing to integrate
         return y0[:, None]
     # CSR: its mat-vec took a third of the CSC one's time at side 9604
@@ -536,8 +535,8 @@ def _adaptive_scan(
         y0,
         method="DOP853",
         t_eval=times,
-        rtol=rtol,
-        atol=atol,
+        rtol=RTOL,
+        atol=ATOL,
     )
     if not sol.success:
         raise StiffnessError(
@@ -560,8 +559,6 @@ def _propagate(
     method: str = "auto",
     weight_ops: Sequence[QOperator] | None = None,
     keep_states: bool = False,
-    rtol: float = RTOL,
-    atol: float = ATOL,
     final: bool = True,
 ):
     """Propagate the vectorized state x0 over a checked time grid.
@@ -603,7 +600,7 @@ def _propagate(
             block=block, final=final,
         )
     else:
-        ys = _adaptive_scan(liouvillian, y0, times, rtol, atol, block=block)
+        ys = _adaptive_scan(liouvillian, y0, times, block=block)
         y_final = ys[:, -1]
         if values is not None:
             values[:, 1:] = weights @ ys[:, 1:]
@@ -620,18 +617,16 @@ def evolve(
     times,
     method: str = "auto",
     observables: dict[str, QOperator] | None = None,
-    rtol: float = RTOL,
-    atol: float = ATOL,
 ) -> Trajectory:
     """Propagate a density matrix over the requested times.
 
     ``method="auto"`` resolves to exact exponential stepping ("expm") on
     uniform grids of at least 3 points up to superoperator side
-    ``DENSE_MAX_SIDE`` and to adaptive integration at the tolerance contract
-    ``rtol``/``atol`` otherwise; the path taken and the side of the invariant
+    ``DENSE_MAX_SIDE`` and to adaptive integration at the fixed tolerances
+    ``RTOL``/``ATOL`` otherwise; the path taken and the side of the invariant
     block it ran on are recorded on the trajectory. Both paths step the real
     Hermitian coordinates rho_ii, sqrt(2) Re rho_ij and sqrt(2) Im rho_ij of
-    that block, and ``rtol``/``atol`` act on them component by component.
+    that block, and the tolerances act on them component by component.
     With ``observables`` given (name -> operator), expectation records are
     stored instead of per-time states.
     """
@@ -646,8 +641,7 @@ def evolve(
     names = list(observables or ())
     method, side, values, columns, x_final = _propagate(
         liouvillian, x0, times, method,
-        weight_ops=[observables[name] for name in names],
-        keep_states=keep_states, rtol=rtol, atol=atol,
+        weight_ops=[observables[name] for name in names], keep_states=keep_states,
     )
 
     trace_row = _vec(np.eye(d, dtype=complex))

@@ -18,7 +18,6 @@ from jtcqed import (
     build_liouvillian,
     eigen_lowest,
     eigen_scan,
-    find_reference_state,
     g2,
     imbalance,
     liouvillian_from_operators,
@@ -97,6 +96,12 @@ class TestEigenScan:
         strong = single_mode_window(1.0 / np.sqrt(2.0), grid, SMALL)
         assert weak.half_width > 0
         assert strong.half_width >= 2.0 * weak.half_width
+
+    @pytest.mark.parametrize("grid", [np.linspace(0.1, 1.0, 10), np.linspace(-1.0, -0.1, 10)])
+    def test_window_grid_must_bracket_zero(self, grid):
+        # a one-sided grid has no window around zero mismatch to measure
+        with pytest.raises(ValueError, match="bracket"):
+            single_mode_window(0.07, grid, SMALL)
 
 
 def affine_split(space, k):
@@ -222,13 +227,13 @@ class TestG2:
         h = 0.0 * number_operator(space, 0)
         liou = liouvillian_from_operators(h, [])
         rho0 = DensityMatrix.from_pure(space, coherent_ket(12, 0.6))
-        series = g2(liou, rho0, taus=np.array([0.0, 1.0]), settle_step=1.0, settle_cap=10.0)
+        series = g2(liou, rho0, taus=np.array([0.0, 1.0]))
         assert series.values[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_single_photon_blockade(self):
         space, liou = thermal_cavity(kappa=0.05, n_th=0.0)
         rho0 = DensityMatrix.from_pure(space, basis_ket(space, [1], []))
-        series = g2(liou, rho0, taus=np.array([0.0, 1.0]), reference=(0.0, rho0))
+        series = g2(liou, rho0, taus=np.array([0.0, 1.0]))
         assert abs(series.values[0]) <= 1e-10
 
     def test_thermal_moments(self):
@@ -239,7 +244,6 @@ class TestG2:
         n = np.arange(5)
         oracle = (n * (n - 1) * probs).sum() / ((n * probs).sum()) ** 2
         assert series.values[0] == pytest.approx(oracle, abs=1e-9)
-        assert series.metadata["t_star"] == 0.0  # already stationary
 
     def test_decays_to_unity(self):
         space, liou = thermal_cavity(kappa=0.05)
@@ -262,8 +266,8 @@ class TestG2:
         # first point of a grid long enough for the exponential path
         space, liou = thermal_cavity(kappa=0.05)
         rho0 = DensityMatrix.from_pure(space, coherent_ket(5, 0.6))
-        one = g2(liou, rho0, taus=[0.0], reference=(0.0, rho0))
-        three = g2(liou, rho0, taus=[0.0, 1.0, 2.0], reference=(0.0, rho0))
+        one = g2(liou, rho0, taus=[0.0])
+        three = g2(liou, rho0, taus=[0.0, 1.0, 2.0])
         assert (one.metadata["method"], three.metadata["method"]) == ("adaptive", "expm")
         assert np.array_equal(one.values, three.values[:1])
 
@@ -272,16 +276,14 @@ class TestG2:
         h = build_dimensionless_hamiltonian(space, 0.1, 0.0)
         liou = build_liouvillian(h, DissipationParams())
         rho0 = DensityMatrix.from_pure(space, basis_ket(space, [0, 0], ["e"]))
-        series = g2(
-            liou, rho0, target="qubit", taus=np.array([0.0, 2.0]), reference=(0.0, rho0)
-        )
+        series = g2(liou, rho0, target="qubit", taus=np.array([0.0, 2.0]))
         assert abs(series.values[0]) <= 1e-12  # two-level emitter
 
     def test_empty_mode_is_undefined(self):
         space, liou = thermal_cavity(kappa=0.05, n_th=0.0)
         rho0 = DensityMatrix.from_pure(space, basis_ket(space, [0], []))
         with pytest.raises(UndefinedCoherenceError):
-            g2(liou, rho0, taus=np.array([0.0, 1.0]), reference=(0.0, rho0))
+            g2(liou, rho0, taus=np.array([0.0, 1.0]))
 
     def test_one_propagator_per_grid(self, monkeypatch):
         h = build_dimensionless_hamiltonian(SMALL, 0.1, 0.2)
@@ -292,67 +294,16 @@ class TestG2:
         monkeypatch.setattr(scipy.linalg, "expm", lambda m: calls.append(1) or expm(m))
         taus = np.linspace(0.0, 50.0, 11)
         runs = [
-            g2(liou, rho0, target=target, taus=taus, reference=(0.0, rho0))
+            g2(liou, rho0, target=target, taus=taus)
             for target in ("resonator", "qubit")
         ]
         assert len(calls) == 1
         assert [series.metadata["method"] for series in runs] == ["expm", "expm"]
 
-    def test_settle_search_converges(self):
+    def test_taus_are_required(self):
         space, liou = thermal_cavity(kappa=0.05)
-        rho0 = DensityMatrix.from_pure(space, basis_ket(space, [2], []))
-        t_star, rho_star, settled = find_reference_state(liou, rho0)
-        assert settled
-        assert t_star > 0
-        assert liou.stationarity_residual(rho_star) <= 1e-4
-
-    @pytest.mark.parametrize(
-        "step, cap", [(np.nan, 100.0), (np.inf, 100.0), (1.0, np.nan)]
-    )
-    def test_settle_inputs_must_be_finite(self, step, cap):
-        # nan and inf compare false against 0, so a sign check alone lets
-        # them through; g2 passes its settle inputs on unchanged
-        space, liou = thermal_cavity(kappa=0.05)
-        rho0 = DensityMatrix.from_pure(space, basis_ket(space, [2], []))
-        with pytest.raises(ValueError, match="finite"):
-            find_reference_state(liou, rho0, step=step, cap=cap)
-        with pytest.raises(ValueError, match="finite"):
-            g2(liou, rho0, taus=np.array([0.0, 1.0]), settle_step=step, settle_cap=cap)
-
-    @pytest.mark.parametrize("whole", [False, True])
-    def test_settle_search_matches_complex_oracle(self, whole):
-        # complex coherences: (|1> + i|2>)/sqrt(2) of a cavity lies in its
-        # coherence orders -1..1; the full model off resonance is one block
-        if whole:
-            space = SMALL
-            h = build_dimensionless_hamiltonian(space, 0.1, 0.3)
-            liou = build_liouvillian(h, DissipationParams(kappa1=0.05, kappa2=0.05, gamma=0.05))
-            ket = basis_ket(space, [1, 0], ["e"]) + 1j * basis_ket(space, [0, 1], ["g"])
-        else:
-            space, liou = thermal_cavity(kappa=0.05)
-            ket = basis_ket(space, [1], []) + 1j * basis_ket(space, [2], [])
-        rho0 = DensityMatrix.from_pure(space, ket)
-        x = rho0.matrix.ravel(order="F")
-        assert (liou.invariant_block(x).size == x.size) == whole
-        step, tol, cap = 20.0, 1e-6, 1000.0
-        t_star, rho_star, settled = find_reference_state(liou, rho0, step, tol, cap)
-        prop = scipy.linalg.expm(liou.matrix * step)
-        d = space.total_dim
-        t, rho_prev = 0.0, rho0.matrix
-        while True:
-            x = prop @ x
-            rho_next = x.reshape((d, d), order="F")
-            rho_next = (rho_next + rho_next.conj().T) / 2.0
-            if np.abs(np.linalg.eigvalsh(rho_next - rho_prev)).sum() < tol:
-                oracle = (t, rho_prev, True)
-                break
-            t += step
-            rho_prev = rho_next
-            if t >= cap:
-                oracle = (t, rho_next, False)
-                break
-        assert (t_star, settled) == (oracle[0], oracle[2])
-        assert np.abs(rho_star.matrix - oracle[1]).max() <= 1e-12
+        with pytest.raises(TypeError):
+            g2(liou, steady_state(liou))
 
 
 class TestImbalance:

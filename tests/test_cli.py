@@ -133,12 +133,12 @@ class TestEigenscanRun:
         assert manifest["notes"]["warnings"] == []
         extra = (
             "\n[numerics]\ntau_max = 5\ng2_normalization = first_order\n"
-            "tolerances = 1e-3, 1e-3\n"
+            "initial_state = 0,1,g\n"
         )
         assert main(["run", write_config(tmp_path / "extra.ini", base + extra)]) == 0
         assert (tmp_path / "scan.csv").read_bytes() == first
         manifest = json.loads((tmp_path / "scan.manifest.json").read_text())
-        assert manifest["notes"]["unused_keys"] == ["g2_normalization", "tau_max", "tolerances"]
+        assert manifest["notes"]["unused_keys"] == ["g2_normalization", "initial_state", "tau_max"]
 
     def test_rows_sorted_by_delta(self, tmp_path):
         out = tmp_path / "scan.csv"
@@ -258,15 +258,29 @@ class TestConfigErrors:
     def test_unknown_preset(self, capsys):
         assert main(["preset", "fig9z"]) == 2
 
+    def test_none_value_is_unset(self):
+        # a mapping's None is an unset key: the default applies, as it does
+        # for a blank value in a file, and the key is not reported as given
+        cfg = config_from_mapping({
+            "run": {"task": "spectrum"},
+            "model": {"k": 0.1, "delta": 0.0, "fock_dims": [2, 2]},
+            "numerics": {"tau_max": None, "n_samples": None},
+            "output": {"path": "out.csv"},
+        })
+        assert (cfg.tau_max, cfg.n_samples, cfg.given_keys) == (1000.0, 4096, ())
+
     @pytest.mark.parametrize(
         "task, section, key, value",
         [
             ("spectrum", "numerics", "n_samples", "1000"),
-            ("imbalance", "numerics", "tolerances", "abc, 1e-10"),
             ("imbalance", "numerics", "initial_state", "7,0,e"),
             ("imbalance", "numerics", "times", "1:10:3"),
             ("g2", "numerics", "times", "1:10:3"),
+            # unknown keys; the adaptive tolerances are fixed, so a config
+            # that sets them, even to their values, is refused
             ("eigenscan", "model", "obrien_normalization", "true"),
+            ("imbalance", "numerics", "tolerances", "abc, 1e-10"),
+            ("imbalance", "numerics", "tolerances", "1e-8, 1e-10"),
             ("eigenscan", "model", "delta_grid", "0, nan"),
             ("eigenscan", "model", "j_override", "inf"),
             ("eigenscan", "model", "j_override", "nan"),
@@ -429,56 +443,14 @@ class TestTaskRuns:
         assert manifest["notes"]["propagation_side_resonator"] == 64
         assert manifest["notes"]["propagation_side_qubit"] == 64
 
-    @pytest.mark.parametrize(
-        "task, times, method, honoured",
-        [
-            ("imbalance", "0, 1, 3, 7", "adaptive", True),
-            ("imbalance", "0:6:4", "expm", False),
-            ("g2", "0, 1, 3, 7", "adaptive", False),  # fixed 1e-8 / 1e-10 contract
-        ],
-    )
-    def test_tolerances_scope(self, tmp_path, task, times, method, honoured):
-        # `tolerances` reaches only the imbalance task's adaptive path
-        csvs = []
-        for label, tolerances in (("default", ""), ("loose", "tolerances = 1e-5, 1e-7")):
-            out = tmp_path / f"{label}.csv"
-            cfg = write_config(
-                tmp_path / f"{label}.ini",
-                f"""
-                [run]
-                task = {task}
-
-                [model]
-                k = 0.1
-                delta = 0.2
-                fock_dims = 2, 2
-
-                [numerics]
-                times = {times}
-                initial_state = 1,0,e
-                {tolerances}
-
-                [output]
-                path = {out}
-                """,
-            )
-            assert main(["run", cfg]) == 0
-            manifest = json.loads((tmp_path / f"{label}.manifest.json").read_text())
-            assert manifest["notes"]["method"] == method
-            assert manifest["notes"]["unused_keys"] == (
-                ["tolerances"] if tolerances and not honoured else []
-            )
-            csvs.append(out.read_text())
-        assert (csvs[0] != csvs[1]) == honoured
-
     @pytest.mark.parametrize("task", ["eigenscan", "spectrum", "g2", "imbalance"])
     def test_runner_key_table_matches_reads(self, task):
         # the key table beside each runner must name exactly the [dissipation]
-        # and [numerics] keys the runner reads (imbalance on its adaptive path)
+        # and [numerics] keys the runner reads
         fields = {
             "dissipation": cli._DISSIPATION, "tau_max": ("tau_max",),
-            "n_samples": ("n_samples",), "times": ("times",), "rtol": ("tolerances",),
-            "atol": ("tolerances",), "correlation_ordering": ("correlation_ordering",),
+            "n_samples": ("n_samples",), "times": ("times",),
+            "correlation_ordering": ("correlation_ordering",),
             "g2_normalization": ("g2_normalization",), "initial_state": ("initial_state",),
         }
         grid = "delta_grid = -0.5:0.5:3" if task == "eigenscan" else "delta = 0.2"
@@ -500,7 +472,6 @@ class TestTaskRuns:
             tau_max = 1000
             n_samples = 16
             times = 0, 1, 3
-            tolerances = 1e-6, 1e-8
             correlation_ordering = emission
             g2_normalization = standard
             initial_state = 1,0,e
