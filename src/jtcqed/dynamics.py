@@ -1,32 +1,32 @@
 """Lindblad open-system engine.
 
-The Liouvillian has one form: a sparse superoperator of side
-``total_dim**2`` in column-major vectorization, assembled once and lazily
-from the Hamiltonian and the scaled collapse operators. Its pattern splits
-into weakly connected components; L has no entry between two of them, so
-each spans a subspace that L and its transpose leave invariant (symmetry
-sectors such as parity or a conserved coherence order, found from the
-operators, not assumed). Only the stationarity residual applies the complex
-superoperator as it is, one CSR mat-vec.
+The Liouvillian is a sparse superoperator L of side ``total_dim**2`` in
+column-major vectorization, assembled once and lazily from the Hamiltonian
+and the scaled collapse operators. Only the stationarity residual applies it
+as it is, one complex CSR mat-vec.
 
-Everything else works on a union of blocks closed under rho_ij <-> rho_ji,
-in one real frame. L maps Hermitian matrices to Hermitian matrices, so its
-matrix L_r there in an orthonormal Hermitian operator basis U (rho_ii,
-sqrt(2) Re rho_ij and sqrt(2) Im rho_ij for i < j) is real. Propagation
-takes the union that holds the initial vector: the seed goes in once as
-y0 = U^dag x0 (real for a Hermitian x0), the weight rows as W U, and states
-come back as U y. The exponential kernel steps y by P_r = expm(L_r dt),
-kept in real arithmetic (within about 1e-12 relative of a complex
-exponential), a complex y as its real and imaginary parts. One loop steps
-baby states y <- P_r y; a long values-only scan (correlations, observable
-records) stops it at m states and steps the few weight rows by the real
-power P_r^m instead, and every other scan runs it to the end, the plain
-chain. The adaptive kernel integrates dy/dt = L_r y by DOP853 with the real
-CSR of L_r, a complex y as it is, so its fixed tolerances ``RTOL`` and
-``ATOL`` act component by component on those coordinates. The steady state
-is one real LU solve of the trace-bordered block that holds the populations;
-every other block is checked by a real LU on its union with its transposed
-image, and the condition estimates of these LUs are the uniqueness check.
+Everything else works in one real frame. L maps Hermitian matrices to
+Hermitian matrices, so its matrix L_r = U^dag L U in the orthonormal
+Hermitian operator basis U of the whole space (rho_ii, sqrt(2) Re rho_ij and
+sqrt(2) Im rho_ij for i < j) is real; both are built once per Liouvillian.
+L_r's pattern splits into weakly connected components, the invariant
+blocks: L_r has no entry between two of them, so it is block-diagonal over
+them (symmetry sectors such as parity or a conserved coherence order, found
+from the operators, not assumed). Propagation takes the union of blocks that
+holds the real coordinates y0 = U^dag x0 of the initial vector (real for a
+Hermitian x0) and reads the slice of L_r there; the weight rows go in as
+W U, and states come back as U y. The exponential kernel steps y by
+P_r = expm(L_r dt), kept in real arithmetic (within about 1e-12 relative of
+a complex exponential), a complex y as its real and imaginary parts. One
+loop steps baby states y <- P_r y; a long values-only scan (correlations,
+observable records) stops it at m states and steps the few weight rows by
+the real power P_r^m instead, and every other scan runs it to the end, the
+plain chain. The adaptive kernel integrates dy/dt = L_r y by DOP853 with
+the real CSR slice, a complex y as it is, so its fixed tolerances ``RTOL``
+and ``ATOL`` act component by component on those coordinates. The steady
+state is one real LU solve of the trace-bordered block that holds the
+populations; every other block is checked by a real LU of its own, and the
+condition estimates of these LUs are the uniqueness check.
 
 All dense work on a block of side up to ``ONE_THREAD_MAX_SIDE`` (the
 propagator's expm, the squarings, the baby and giant steps and weight-row
@@ -150,6 +150,7 @@ class Liouvillian:
         self.dissipation = dissipation
         self._sparse: scipy.sparse.csr_array | None = None
         self._matrix: np.ndarray | None = None
+        self._real: tuple[scipy.sparse.csr_array, scipy.sparse.csr_array] | None = None
         self._labels: np.ndarray | None = None
         self._propagator: tuple[tuple[float, bytes], np.ndarray] | None = None
 
@@ -185,7 +186,8 @@ class Liouvillian:
 
     @property
     def blocks(self) -> list[np.ndarray]:
-        """Ascending index arrays of the weakly connected components of L's pattern."""
+        """Ascending index arrays of the weakly connected components of L_r's
+        pattern (:meth:`_real_generator`)."""
         labels = self._block_labels()
         order = np.argsort(labels, kind="stable")
         return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
@@ -193,94 +195,87 @@ class Liouvillian:
     def _block_labels(self) -> np.ndarray:
         if self._labels is None:
             _, self._labels = scipy.sparse.csgraph.connected_components(
-                abs(self.sparse), directed=True, connection="weak"
+                abs(self._real_generator()[1]), directed=True, connection="weak"
             )
         return self._labels
 
+    def _union(self, indices: np.ndarray) -> np.ndarray:
+        """Ascending indices of the union of the blocks that hold ``indices``."""
+        labels = self._block_labels()
+        held = np.zeros(labels.max() + 1, dtype=bool)
+        held[labels[indices]] = True
+        return np.flatnonzero(held[labels])
+
     def invariant_block(self, x: np.ndarray) -> np.ndarray:
         """Ascending indices of the union of the blocks that hold the nonzero
-        entries of x and of their transposed images.
-
-        L commutes with the adjoint rho -> rho^dag, so the image of a block
-        under rho_ij <-> rho_ji is a block too, and the union is closed under
-        transposition: the real basis of :meth:`propagator` spans it.
-        """
-        labels = self._block_labels()
-        d = self.space.total_dim
-        nonzero = np.flatnonzero(x)
-        held = np.zeros(labels.max() + 1, dtype=bool)
-        held[labels[nonzero]] = True
-        held[labels[nonzero // d + nonzero % d * d]] = True
-        return np.flatnonzero(held[labels])
+        entries of U^dag x, the real coordinates of x (:meth:`_real_generator`)."""
+        return self._union(np.flatnonzero(self._real_generator()[0].conj().T @ x))
 
     def apply(self, mat: np.ndarray) -> np.ndarray:
         """Apply the generator to a (not necessarily Hermitian) matrix: one
         mat-vec with :attr:`sparse`."""
         return _unvec(self.sparse @ _vec(mat), self.space.total_dim)
 
-    def _hermitian_basis(self, block: np.ndarray) -> scipy.sparse.csr_array:
-        """Unitary U whose columns are the orthonormal Hermitian operator basis
-        of ``block``: rho_ii at its own position, and
-        for i < j (rho_ij + rho_ji)/sqrt(2) at rho_ij's position and
-        i (rho_ij - rho_ji)/sqrt(2) at rho_ji's.
+    def _real_generator(self):
+        """(U, L_r), built once: U is the unitary whose columns are the
+        orthonormal Hermitian operator basis of the whole space, rho_ii at its
+        own position, and for i < j (rho_ij + rho_ji)/sqrt(2) at rho_ij's
+        position and i (rho_ij - rho_ji)/sqrt(2) at rho_ji's; L_r = U^dag L U
+        is L in that basis, a real CSR array without stored zeros (its mat-vec
+        took a third of the CSC one's time at side 9604).
 
         y = U^dag x are the real coordinates of a Hermitian x, at the same
-        positions: rho_ii, sqrt(2) Re rho_ij and sqrt(2) Im rho_ij. Raises
-        ``ValidationError`` when the block is not closed under rho_ij <-> rho_ji.
-        """
-        d = self.space.total_dim
-        rows, cols = block % d, block // d
-        transposed = cols + rows * d
-        where = np.searchsorted(block, transposed).clip(max=block.size - 1)
-        if not np.array_equal(block[where], transposed):
-            raise ValidationError("block is not closed under rho_ij <-> rho_ji")
-        diag, upper = np.flatnonzero(rows == cols), np.flatnonzero(rows < cols)
-        lower = where[upper]
-        half = np.full(upper.size, math.sqrt(0.5))
-        return scipy.sparse.csr_array(
-            (
-                np.concatenate([np.ones(diag.size), half, 1j * half, half, -1j * half]),
-                (
-                    np.concatenate([diag, upper, upper, lower, lower]),
-                    np.concatenate([diag, upper, lower, upper, lower]),
-                ),
-            ),
-            shape=(block.size, block.size),
-        )
-
-    def _real_generator(self, block: np.ndarray):
-        """(U, L_r): the Hermitian basis of ``block`` (:meth:`_hermitian_basis`)
-        and L restricted to the block in that basis, L_r = U^dag L_b U, as a
-        real CSC array.
-
-        L maps Hermitian matrices to Hermitian matrices, so L_r is real. Raises
+        positions: rho_ii, sqrt(2) Re rho_ij and sqrt(2) Im rho_ij. L maps
+        Hermitian matrices to Hermitian matrices, so L_r is real; raises
         ``ValidationError`` when it is not real to rounding, as for a
         Liouvillian constructed directly with a non-Hermitian Hamiltonian.
         """
-        u = self._hermitian_basis(block)
-        real_gen = u.conj().T @ self.sparse[block][:, block] @ u
-        scale = np.abs(real_gen.data).max(initial=0.0)
-        if np.abs(real_gen.data.imag).max(initial=0.0) > 16 * np.finfo(float).eps * scale:
-            raise ValidationError(
-                "generator is not real in a Hermitian basis: "
-                "the Hamiltonian is not Hermitian"
+        if self._real is None:
+            d = self.space.total_dim
+            positions = np.arange(d * d)
+            rows, cols = positions % d, positions // d
+            diag, upper = np.flatnonzero(rows == cols), np.flatnonzero(rows < cols)
+            lower = cols[upper] + rows[upper] * d
+            half = np.full(upper.size, math.sqrt(0.5))
+            u = scipy.sparse.csr_array(
+                (
+                    np.concatenate([np.ones(diag.size), half, 1j * half, half, -1j * half]),
+                    (
+                        np.concatenate([diag, upper, upper, lower, lower]),
+                        np.concatenate([diag, upper, lower, upper, lower]),
+                    ),
+                ),
+                shape=(d * d, d * d),
             )
-        return u, real_gen.real
+            real_gen = u.conj().T @ self.sparse @ u
+            scale = np.abs(real_gen.data).max(initial=0.0)
+            if np.abs(real_gen.data.imag).max(initial=0.0) > 16 * np.finfo(float).eps * scale:
+                raise ValidationError(
+                    "generator is not real in a Hermitian basis: "
+                    "the Hamiltonian is not Hermitian"
+                )
+            real_gen = real_gen.real.tocsr()
+            real_gen.eliminate_zeros()
+            self._real = (u, real_gen)
+        return self._real
 
     def propagator(self, dt: float, block: np.ndarray) -> np.ndarray:
-        """P_r = expm(L_r dt): the propagator of L restricted to ``block``
-        (ascending indices of an invariant subspace closed under
-        rho_ij <-> rho_ji, as from :meth:`invariant_block`), in the real
-        coordinates of :meth:`_real_generator`, as a read-only float64 array;
-        the propagator of the last step size and block asked for is kept.
+        """P_r = expm(L_r dt) on ``block`` (ascending indices of a union of
+        :attr:`blocks`, as from :meth:`invariant_block`): the propagator of L
+        there in the real coordinates of :meth:`_real_generator`, as a
+        read-only float64 array; the propagator of the last step size and
+        block asked for is kept.
 
-        The propagator in the column-major basis is U P_r U^dag; it agrees
-        with a complex expm(L_b dt) to about 1e-12 relative.
+        The propagator in the column-major basis is U_b P_r U_b^dag, with U_b
+        the block's columns of U; it agrees with a complex expm(L dt) to about
+        1e-12 relative.
         """
         key = (dt, block.tobytes())
         if self._propagator is None or self._propagator[0] != key:
             self._propagator = None  # release the old slot before building
-            _, real_gen = self._real_generator(block)
+            if not np.array_equal(self._union(block), block):
+                raise ValidationError("block is not a union of invariant blocks")
+            real_gen = self._real_generator()[1][block][:, block]
             prop = scipy.linalg.expm(real_gen.toarray() * dt)
             prop.setflags(write=False)
             self._propagator = (key, prop)
@@ -293,8 +288,8 @@ class Liouvillian:
 def _hermitian_hamiltonian(h: QOperator) -> QOperator:
     """h as an exactly Hermitian operator, (h + h^dag)/2, once it passes
     :meth:`QOperator.is_hermitian`: a defect within that tolerance would
-    otherwise leave an imaginary part in the generator's Hermitian-basis
-    form, which :meth:`Liouvillian._real_generator` rejects."""
+    otherwise leave an imaginary part in the whole-space L_r, which
+    :meth:`Liouvillian._real_generator` rejects when it builds it."""
     if not h.is_hermitian():
         raise ValidationError("Hamiltonian must be Hermitian")
     return QOperator(h.space, (h.matrix + h.matrix.conj().T) / 2.0)
@@ -357,8 +352,8 @@ class Trajectory:
     records for pre-registered observables (``expectations``) are stored; the
     final state is always available. ``method`` is the propagation path
     taken, "expm" or "adaptive", and ``propagation_side`` the side of the
-    space it propagated on, on either path: the transposition-closed union of
-    invariant blocks that holds the initial state.
+    space it propagated on, on either path: the union of invariant blocks of
+    L_r that holds the initial state's real coordinates.
     """
 
     times: np.ndarray
@@ -521,14 +516,12 @@ def _adaptive_scan(
     *,
     block: np.ndarray,
 ) -> np.ndarray:
-    """DOP853 at ``RTOL``/``ATOL`` on dy/dt = L_r y, with L_r of
-    :meth:`Liouvillian._real_generator` on ``block`` as a real CSR array;
-    returns y at each requested time as the columns of an array, y0 alone
-    for a one-point grid."""
+    """DOP853 at ``RTOL``/``ATOL`` on dy/dt = L_r y, with the CSR slice of
+    L_r (:meth:`Liouvillian._real_generator`) on ``block``; returns y at each
+    requested time as the columns of an array, y0 alone for a one-point grid."""
     if times.size == 1:  # nothing to integrate
         return y0[:, None]
-    # CSR: its mat-vec took a third of the CSC one's time at side 9604
-    real_gen = liouvillian._real_generator(block)[1].tocsr()
+    real_gen = liouvillian._real_generator()[1][block][:, block]
     sol = scipy.integrate.solve_ivp(
         lambda _t, y: real_gen @ y,
         (times[0], times[-1]),
@@ -546,12 +539,6 @@ def _adaptive_scan(
     return sol.y
 
 
-def _embed(x: np.ndarray, block: np.ndarray, size: int) -> np.ndarray:
-    full = np.zeros(size, dtype=complex)
-    full[block] = x
-    return full
-
-
 def _propagate(
     liouvillian: Liouvillian,
     x0: np.ndarray,
@@ -566,12 +553,11 @@ def _propagate(
     ``method="auto"`` takes exponential stepping on uniform grids of at
     least 3 points, adaptive integration otherwise. Both kernels step the
     real coordinates of the module docstring on the union of invariant
-    blocks that holds the nonzero entries of x0 and their transposes
-    (:meth:`Liouvillian.invariant_block`); a zero x0 has an empty block and
-    stays zero. Returns the resolved method, the side of that block,
-    tr(weight_ops[r] x(times[k])) as ``values[r, k]`` (or None), every x(t)
-    when ``keep_states`` (or None), and x at the last time (None on the
-    exponential path when ``final`` is not set).
+    blocks that holds them (:meth:`Liouvillian.invariant_block`); a zero x0
+    has an empty block and stays zero. Returns the resolved method, the side
+    of that block, tr(weight_ops[r] x(times[k])) as ``values[r, k]`` (or
+    None), every x(t) when ``keep_states`` (or None), and x at the last time
+    (None on the exponential path when ``final`` is not set).
     """
     if method == "auto":
         method = "expm" if times.size >= 3 and _is_uniform(times) else "adaptive"
@@ -579,16 +565,15 @@ def _propagate(
         raise ValueError(f"unknown propagation method {method!r}")
     if method == "expm" and not _is_uniform(times):
         raise ValueError("expm propagation requires a uniform time grid")
-    side, block = x0.size, liouvillian.invariant_block(x0)
-    x0 = x0[block]
-    u = liouvillian._hermitian_basis(block)
+    block = liouvillian.invariant_block(x0)
+    u = liouvillian._real_generator()[0][:, block]
     y0 = _real_if_exact(u.conj().T @ x0)
     weights = values = None
     if weight_ops:
         for op in weight_ops:
             if op.space != liouvillian.space:
                 raise ValueError("weight operator lives on a different space")
-        rows = np.stack([_vec(np.ascontiguousarray(op.matrix.T)) for op in weight_ops])[:, block]
+        rows = np.stack([_vec(np.ascontiguousarray(op.matrix.T)) for op in weight_ops])
         weights = _real_if_exact(rows @ u)
         values = np.empty((rows.shape[0], times.size), dtype=complex)
         values[:, 0] = rows @ x0
@@ -606,8 +591,8 @@ def _propagate(
             values[:, 1:] = weights @ ys[:, 1:]
     columns = None
     if keep_states:
-        columns = [_embed(x, block, side) for x in (x0, *(u @ ys[:, 1:]).T)]
-    x_final = None if y_final is None else _embed(u @ y_final, block, side)
+        columns = [x0, *(u @ ys[:, 1:]).T]
+    x_final = None if y_final is None else u @ y_final
     return method, block.size, values, columns, x_final
 
 
@@ -624,9 +609,10 @@ def evolve(
     uniform grids of at least 3 points up to superoperator side
     ``DENSE_MAX_SIDE`` and to adaptive integration at the fixed tolerances
     ``RTOL``/``ATOL`` otherwise; the path taken and the side of the invariant
-    block it ran on are recorded on the trajectory. Both paths step the real
+    blocks it ran on are recorded on the trajectory. Both paths step the real
     Hermitian coordinates rho_ii, sqrt(2) Re rho_ij and sqrt(2) Im rho_ij of
-    that block, and the tolerances act on them component by component.
+    those blocks with the slice of the Liouvillian's one real generator
+    there, and the tolerances act on them component by component.
     With ``observables`` given (name -> operator), expectation records are
     stored instead of per-time states.
     """
@@ -698,21 +684,18 @@ def _checked_lu(m: np.ndarray, what: str):
 def steady_state(liouvillian: Liouvillian) -> DensityMatrix:
     """Unique stationary state, via a trace-constrained kernel solve.
 
-    The kernel of L is the direct sum of the kernels of its invariant blocks
-    (:attr:`Liouvillian.blocks`). Every block that holds a population
-    carries the trace functional and so a stationary state: populations in
-    more than one block mean a kernel of dimension > 1. In the one block
-    that holds them, the first row (a redundant row: the trace functional
-    annihilates the generator) is replaced by the trace constraint and the
-    resulting system solved by a real LU, in the Hermitian basis of
-    :meth:`Liouvillian._real_generator` (which raises ``ValidationError``
-    for a generator that is not real there). That bordered system is
-    singular exactly when the block's kernel has dimension > 1, and every
-    other block B is singular exactly when it holds a stationary coherence,
-    and so is L_r on its union with its transposed image B'
-    (:meth:`Liouvillian.invariant_block`): it is unitarily similar to
-    diag(L_B, L_B'), and L_B' is L_B conjugated and permuted. So the kernel
-    check is LAPACK's reciprocal-condition estimate of each real LU, O(n^2)
+    The generator L_r of :meth:`Liouvillian._real_generator` (which raises
+    ``ValidationError`` for a generator that is not real) is block-diagonal
+    over its invariant blocks (:attr:`Liouvillian.blocks`), so its kernel is
+    the direct sum of theirs. Every block that holds a population carries
+    the trace functional and so a stationary state: populations in more than
+    one block mean a kernel of dimension > 1. In the one block that holds
+    them, the first row (a redundant row: the trace functional annihilates
+    the generator) is replaced by the trace constraint and the resulting
+    system solved by a real LU. That bordered system is singular exactly when
+    the block's kernel has dimension > 1, and every other block is singular
+    exactly when it holds a stationary coherence. So the kernel check is
+    LAPACK's reciprocal-condition estimate of each block's real LU, O(n^2)
     after the factorization: every block is covered, at every size, and
     below n * eps the steady state is reported as not unique, never silently
     resolved. A generator without a kernel fails the stationarity-residual
@@ -728,23 +711,21 @@ def steady_state(liouvillian: Liouvillian) -> DensityMatrix:
             "each with its own stationary state; steady state is not unique"
         )
     (block,) = held
-    # The block is closed under rho_ij <-> rho_ji (the transposed image of a
-    # population block holds the populations too), so the system is solved in
-    # its real coordinates, where the trace is the sum of the rho_ii ones.
-    # The block is ascending and index 0 (rho[0, 0]) is a population, so its
-    # first row is the one the trace row replaces.
-    u, real_gen = liouvillian._real_generator(block)
-    m = real_gen.toarray()
+    # In real coordinates the trace is the sum of the rho_ii ones. The block
+    # is ascending and index 0 (rho[0, 0]) is a population, so its first row
+    # is the one the trace row replaces. m is column-major, LAPACK's layout;
+    # the rounding of the refinement's m @ y depends on it.
+    u, real_gen = liouvillian._real_generator()
+    m = real_gen[block][:, block].toarray(order="F")
     m[0, :] = populations[block]
     b = np.zeros(block.size)
     b[0] = 1.0
     lu = _checked_lu(m, "the trace-bordered system")
     for other in blocks:
-        union = liouvillian.invariant_block(np.arange(d * d) == other[0])
-        if other is not block and union[0] == other[0]:  # once per union
+        if other is not block:
             _checked_lu(
-                liouvillian._real_generator(union)[1].toarray(),
-                f"an invariant block union of side {union.size}",
+                real_gen[other][:, other].toarray(),
+                f"an invariant block of side {other.size}",
             )
     y = scipy.linalg.lu_solve(lu, b)
     # One refinement pass tightens the residual at negligible cost.
@@ -752,7 +733,7 @@ def steady_state(liouvillian: Liouvillian) -> DensityMatrix:
     if not np.all(np.isfinite(y)):
         raise DegenerateSteadyStateError("kernel solve produced non-finite values")
 
-    rho = _sym(_unvec(_embed(u @ y, block, d * d), d))
+    rho = _sym(_unvec(u[:, block] @ y, d))
     rho /= np.trace(rho).real
     residual = float(np.abs(liouvillian.apply(rho)).max())
     if residual > STEADY_RESIDUAL_TOL:

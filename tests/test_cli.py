@@ -1,7 +1,9 @@
 import configparser
+import importlib.util
 import json
 import math
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -558,8 +560,9 @@ class TestTaskRuns:
         manifest = json.loads((tmp_path / "spec.manifest.json").read_text())
         assert manifest["notes"]["peaks"]
         # J = delta = 0: mode 2 decouples, and L splits by its coherence
-        # order n2 - n2' in -2..2; the seed a rho_ss lies in order 0
-        assert manifest["notes"]["steady_state_blocks"] == 5
+        # order n2 - n2' in -2..2, which transposition pairs into the three
+        # blocks |n2 - n2'| = 0, 1, 2; the seed a rho_ss lies in order 0
+        assert manifest["notes"]["steady_state_blocks"] == 3
         assert manifest["notes"]["propagation_side"] == 3 * 6**2
         omegas = np.array([float(line.split(",")[0]) for line in lines[1:]])
         assert np.all(np.diff(omegas) > 0)
@@ -599,6 +602,54 @@ class TestCsvWriter:
             assert path.read_text() == "\n".join(expected) + "\n"
         cells = path.read_text().splitlines()[8].split(",")  # table row 7
         assert cells[0] == cells[3] == "" and all(cells[1:3])
+
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+class TestBenchTracer:
+    def test_traced_spectrum_restores_every_patch(self, tmp_path):
+        # The benchmark's tracer patches package attributes by name
+        # (Liouvillian.matrix and apply among them): a renamed one fails here.
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        cfg = load_config_text(
+            f"""
+            [run]
+            task = spectrum
+
+            [model]
+            k = 0.05
+            delta = 0.0
+            fock_dims = 2, 2
+
+            [dissipation]
+            kappa1 = 0.05
+            kappa2 = 0.05
+            gamma = 0.05
+
+            [numerics]
+            tau_max = 200
+            n_samples = 256
+
+            [output]
+            path = {tmp_path / "spec.csv"}
+            """
+        )
+        tracer = tracing.Tracer()
+        tracer.install()
+        patches = list(tracer._patches)
+        try:
+            cli.execute(cfg)
+        finally:
+            tracer.uninstall()
+        assert patches and tracer._patches == []
+        for owner, attr, original in patches:
+            assert getattr(owner, attr) is original
+        for name in ("cli.execute", "dynamics.steady_state", "dynamics.expm"):
+            assert tracer.counts[name] >= 1
+        assert tracer.csv_bytes == (tmp_path / "spec.csv").stat().st_size
 
 
 # SciPy's submodules, none of which importing the package may load.

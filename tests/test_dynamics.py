@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from jtcqed import _blas, dynamics
 from jtcqed import (
@@ -149,6 +150,56 @@ def sector_partition(labels):
     return {frozenset(np.flatnonzero(labels == v)) for v in np.unique(labels)}
 
 
+def transposed(indices, d):
+    """Column-major positions of rho_ji for those of rho_ij."""
+    return indices // d + indices % d * d
+
+
+def closed_unions(liou):
+    """Oracle partition: the weakly connected components of the complex
+    superoperator's pattern, joined with their images under rho_ij <-> rho_ji."""
+    d = liou.space.total_dim
+    _, labels = scipy.sparse.csgraph.connected_components(
+        abs(liou.sparse), directed=True, connection="weak"
+    )
+    # component c and the component of its transposed image share a union
+    images = labels[transposed(np.arange(d * d), d)]
+    _, union_of = scipy.sparse.csgraph.connected_components(
+        scipy.sparse.coo_array((np.ones(labels.size), (labels, images))),
+        directed=False,
+    )
+    return sector_partition(union_of[labels])
+
+
+def hermitian_basis(d, block):
+    """Oracle U_b of a transposition-closed ``block``: rho_ii at its own
+    position and, for i < j, (rho_ij + rho_ji)/sqrt(2) at rho_ij's and
+    i (rho_ij - rho_ji)/sqrt(2) at rho_ji's, built on the block alone."""
+    rows, cols = block % d, block // d
+    where = np.searchsorted(block, transposed(block, d)).clip(max=block.size - 1)
+    assert np.array_equal(block[where], transposed(block, d))
+    diag, upper = np.flatnonzero(rows == cols), np.flatnonzero(rows < cols)
+    lower = where[upper]
+    half = np.full(upper.size, np.sqrt(0.5))
+    return scipy.sparse.csr_array(
+        (
+            np.concatenate([np.ones(diag.size), half, 1j * half, half, -1j * half]),
+            (
+                np.concatenate([diag, upper, upper, lower, lower]),
+                np.concatenate([diag, upper, lower, upper, lower]),
+            ),
+        ),
+        shape=(block.size, block.size),
+    )
+
+
+BLOCK_MODELS = {
+    "linear-J0p5": dict(delta=0.0, include_quadratic=False, j_override=0.5),
+    "full-J0": dict(delta=0.0),
+    "full-delta0p3": dict(delta=0.3),
+}
+
+
 class TestInvariantBlocks:
     def blocks(self, **model):
         h = build_dimensionless_hamiltonian(BLOCK_SPACE, 0.05 / np.sqrt(2.0), **model)
@@ -164,12 +215,47 @@ class TestInvariantBlocks:
         assert blocks == sector_partition(np.outer(parity, parity).ravel(order="F"))
 
     def test_decoupled_mode_splits_by_coherence_order(self):
-        # J = delta = 0: mode 2 only feels its own bath, which conserves n2 - n2'
+        # J = delta = 0: mode 2 only feels its own bath, which conserves
+        # n2 - n2'; transposition joins the orders q and -q
         _, blocks = self.blocks(delta=0.0)
         n2 = levels(number_operator(BLOCK_SPACE, 1))
-        assert len(blocks) == 2 * 3 - 1
+        assert len(blocks) == 3
         # rho[i, j] sits at column-major index i + j d
-        assert blocks == sector_partition(np.subtract.outer(n2, n2).ravel(order="F"))
+        assert blocks == sector_partition(np.abs(np.subtract.outer(n2, n2)).ravel(order="F"))
+
+    @pytest.mark.parametrize("name", BLOCK_MODELS)
+    def test_blocks_are_closed_unions_with_matching_generators(self, name):
+        # the components of the whole-space L_r are the transposition-closed
+        # unions of the complex components, and its slice on each equals
+        # U_b^dag L_b U_b built on that block alone, bit for bit
+        liou, blocks = self.blocks(**BLOCK_MODELS[name])
+        assert blocks == closed_unions(liou)
+        real_gen = liou._real_generator()[1]
+        assert real_gen.dtype == np.float64
+        for block in liou.blocks:
+            u = hermitian_basis(BLOCK_SPACE.total_dim, block)
+            oracle = u.conj().T @ liou.sparse[block][:, block] @ u
+            assert np.array_equal(real_gen[block][:, block].toarray(), oracle.toarray().real)
+
+    def test_real_generator_built_once(self, monkeypatch):
+        # steady state, correlations and propagation on both kernels share
+        # one whole-space L_r
+        builds = []
+        real_generator = dynamics.Liouvillian._real_generator
+
+        def counted(liou):
+            builds.append(liou._real is None)
+            return real_generator(liou)
+
+        monkeypatch.setattr(dynamics.Liouvillian, "_real_generator", counted)
+        liou, _ = self.blocks(**BLOCK_MODELS["linear-J0p5"])
+        rho = steady_state(liou)
+        a1 = annihilation(BLOCK_SPACE, 0)
+        rho0 = DensityMatrix.from_pure(BLOCK_SPACE, basis_ket(BLOCK_SPACE, [1, 0], ["e"]))
+        for method in ("expm", "adaptive"):
+            correlation(liou, rho, a1.dag(), a1, np.linspace(0.0, 20.0, 5), method=method)
+            evolve(liou, rho0, np.linspace(0.0, 20.0, 5), method=method)
+        assert builds.count(True) == 1 and len(builds) > 1
 
     def test_full_model_off_resonance_is_one_block(self):
         liou, blocks = self.blocks(delta=0.3)
@@ -197,9 +283,9 @@ class TestInvariantBlocks:
 
 def expm_scan(liou, x0, n_steps, dt, weight_rows=None, keep_states=False, *, block, final=True):
     """dynamics._expm_scan on x0 and weight rows restricted to ``block``, taken
-    to its real coordinates and back as ``dynamics._propagate`` does: returns
+    to its real coordinates by the oracle basis and back: returns
     (values, states, x_final) on the block."""
-    u = liou._hermitian_basis(block)
+    u = hermitian_basis(liou.space.total_dim, block)
     values = weights = None
     if weight_rows is not None:
         weights = dynamics._real_if_exact(weight_rows @ u)
@@ -229,7 +315,7 @@ class TestBlockPropagation:
         oracle = scipy.linalg.expm(liou.sparse[block][:, block].toarray() * dt)
         real_prop = liou.propagator(dt, block)
         assert real_prop.dtype == np.float64 and not real_prop.flags.writeable
-        u = liou._hermitian_basis(block).toarray()
+        u = hermitian_basis(liou.space.total_dim, block).toarray()
         prop = u @ real_prop @ u.conj().T
         assert np.abs(prop - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
@@ -244,16 +330,21 @@ class TestBlockPropagation:
             self.assert_propagator_matches_complex_expm(liou, 7.0, block)
 
     def test_open_block_seed_propagates_on_closed_union(self):
-        # J = delta = 0: a2 rho_ss lies in one coherence-order sector of mode 2,
-        # which transposition maps onto the opposite sector
+        # J = delta = 0: a2 rho_ss lies in one coherence-order sector of mode 2
+        # (a complex component), which transposition maps onto the opposite
+        # sector; the real coordinates of x0 fill both
         h = build_dimensionless_hamiltonian(BLOCK_SPACE, 0.05, 0.0)
         liou = build_liouvillian(h, DissipationParams(kappa1=0.02, kappa2=0.01, gamma=0.01))
         rho = steady_state(liou)
         a2 = annihilation(BLOCK_SPACE, 1)
         x0 = (a2.matrix @ rho.matrix).ravel(order="F")
-        sector = next(b for b in liou.blocks if np.isin(np.flatnonzero(x0), b).all())
+        n2 = levels(a2.dag() @ a2)
+        orders = np.subtract.outer(n2, n2).ravel(order="F")
+        sector = np.flatnonzero(orders == orders[np.flatnonzero(x0)[0]])
+        assert np.isin(np.flatnonzero(x0), sector).all()
         block = liou.invariant_block(x0)
         assert block.size == 2 * sector.size
+        assert any(np.array_equal(block, b) for b in liou.blocks)
         with pytest.raises(ValidationError):
             liou.propagator(7.0, sector)
         self.assert_propagator_matches_complex_expm(liou, 7.0, block)
@@ -777,20 +868,36 @@ class TestSteadyState:
 
     def stationary_coherence(self):
         # H = 0, collapse sqrt(gamma) sigma_x: populations and coherences form
-        # two blocks, and sigma_x (a coherence) is stationary beside 1/2
+        # two complex blocks, and sigma_x (a coherence) is stationary beside 1/2
         space = SpaceSpec((), 1)
         h = QOperator(space, np.zeros((2, 2), dtype=complex))
         return liouvillian_from_operators(h, [np.sqrt(0.01) * pauli(space, "x")])
 
     def test_stationary_coherence_is_degenerate(self):
         liou = self.stationary_coherence()
-        assert sorted(len(block) for block in liou.blocks) == [2, 2]
+        # the real components are finer than the complex blocks: Re rho_01,
+        # Im rho_01 and the populations
+        assert sorted(len(block) for block in liou.blocks) == [1, 1, 2]
         # the coherence block's zero pivot is reported by the error alone
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(DegenerateSteadyStateError):
                 steady_state(liou)
         assert [str(w.message) for w in caught] == []
+
+    def test_coherence_components_propagate_apart(self):
+        # Re rho_01 (at rho_01's position 2) is stationary and Im rho_01 (at
+        # rho_10's position 1) decays at 2 gamma: L_r has no entry between
+        # them, so each is a block, and their union is the complex block
+        liou = self.stationary_coherence()
+        sigma_x = pauli(liou.space, "x").matrix.ravel(order="F")
+        assert liou.invariant_block(sigma_x).tolist() == [2]
+        assert liou.invariant_block(np.array([0, 0, 1, 0])).tolist() == [1, 2]
+        prop = liou.propagator(3.0, np.array([1, 2]))
+        assert np.abs(prop - np.diag([np.exp(-2 * 0.01 * 3.0), 1.0])).max() <= 1e-15
+        assert liou.propagator(3.0, np.array([2])).tolist() == [[1.0]]
+        with pytest.raises(ValidationError):
+            liou.propagator(3.0, np.array([0]))  # half the population block
 
     def test_factors_every_block(self, monkeypatch):
         h = build_dimensionless_hamiltonian(BLOCK_SPACE, 0.05, 0.0)
@@ -801,15 +908,12 @@ class TestSteadyState:
             scipy.linalg, "lu_factor", lambda m: calls.append((m.shape[0], m.dtype)) or lu_factor(m)
         )
         steady_state(liou)
-        # five coherence-order blocks n2 - n2' = -2..2; transposition pairs
-        # +-1 and +-2, so one LU per closed union: {0}, {+-1}, {+-2}
-        assert len(liou.blocks) == 5
+        # five coherence-order sectors n2 - n2' = -2..2, which transposition
+        # pairs into three blocks |n2 - n2'| = 0, 1, 2: one LU each
+        assert len(liou.blocks) == 3
         side = BLOCK_SPACE.total_dim**2
-        unions = {
-            frozenset(liou.invariant_block(np.arange(side) == block[0])) for block in liou.blocks
-        }
-        assert len(calls) == len(unions) == 3
-        assert sorted(size for size, _ in calls) == sorted(len(union) for union in unions)
+        assert len(calls) == 3
+        assert sorted(size for size, _ in calls) == sorted(len(block) for block in liou.blocks)
         assert sum(size for size, _ in calls) == side
         # every LU is real, in the Hermitian basis
         assert all(dtype == np.float64 for _, dtype in calls)
