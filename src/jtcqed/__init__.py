@@ -31,7 +31,6 @@ from .errors import (
     DegenerateSteadyStateError,
     JTCQEDError,
     NonStationaryStateError,
-    StiffnessError,
     UndefinedCoherenceError,
     ValidationError,
 )

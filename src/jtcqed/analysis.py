@@ -384,7 +384,6 @@ def imbalance(
     liouvillian: Liouvillian,
     rho0: DensityMatrix,
     times,
-    method: str = "auto",
 ) -> ImbalanceSeries:
     """Per-mode photon numbers and normalized imbalance, propagated by ``evolve``."""
     space = liouvillian.space
@@ -394,7 +393,6 @@ def imbalance(
         liouvillian,
         rho0,
         times,
-        method=method,
         observables={
             "n1": number_operator(space, 0),
             "n2": number_operator(space, 1),

@@ -15,18 +15,19 @@ them (symmetry sectors such as parity or a conserved coherence order, found
 from the operators, not assumed). Propagation takes the union of blocks that
 holds the real coordinates y0 = U^dag x0 of the initial vector (real for a
 Hermitian x0) and reads the slice of L_r there; the weight rows go in as
-W U, and states come back as U y. The exponential kernel steps y by
-P_r = expm(L_r dt), kept in real arithmetic (within about 1e-12 relative of
-a complex exponential), a complex y as its real and imaginary parts. One
-loop steps baby states y <- P_r y; a long values-only scan (correlations,
-observable records) stops it at m states and steps the few weight rows by
-the real power P_r^m instead, and every other scan runs it to the end, the
-plain chain. The adaptive kernel integrates dy/dt = L_r y by DOP853 with
-the real CSR slice, a complex y as it is, so its fixed tolerances ``RTOL``
-and ``ATOL`` act component by component on those coordinates. The steady
-state is one real LU solve of the trace-bordered block that holds the
-populations; every other block is checked by a real LU of its own, and the
-condition estimates of these LUs are the uniqueness check.
+W U, and states come back as U y. Two kernels step y, both exact to
+rounding (within about 1e-12 relative of a one-shot complex expm(L t)). The
+dense kernel, on a uniform grid of at least 3 points, steps y by
+P_r = expm(L_r dt) in real arithmetic, a complex y as its real and
+imaginary parts. One loop steps baby states y <- P_r y; a long values-only
+scan (correlations, observable records) stops it at m states and steps the
+few weight rows by the real power P_r^m instead, and every other scan runs
+it to the end, the plain chain. The Taylor kernel serves every other grid:
+it applies exp(L_r h) to y by truncated Taylor series on the CSR slice of
+L_r (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 488 (2011)), a complex y
+as it is. The steady state is one real LU solve of the trace-bordered block
+that holds the populations; every other block is checked by a real LU of
+its own, and the condition estimates of these LUs are the uniqueness check.
 
 All dense work on a block of side up to ``ONE_THREAD_MAX_SIDE`` (the
 propagator's expm, the squarings, the baby and giant steps and weight-row
@@ -63,12 +64,7 @@ import numpy as np
 import scipy
 
 from . import _blas
-from .errors import (
-    DegenerateSteadyStateError,
-    NonStationaryStateError,
-    StiffnessError,
-    ValidationError,
-)
+from .errors import DegenerateSteadyStateError, NonStationaryStateError, ValidationError
 from .hilbert import DensityMatrix, QOperator, SpaceSpec, pauli, qubit_lowering, annihilation
 from .series import CorrelationSeries
 
@@ -84,13 +80,9 @@ __all__ = [
     "correlation",
 ]
 
-# Adaptive-integration contract: relative / absolute tolerances.
-RTOL = 1e-8
-ATOL = 1e-10
-
-# Largest superoperator side at which ``evolve(method="auto")`` steps states
-# by a dense propagator; larger systems integrate adaptively, the only path
-# whose memory fits there. Delay scans and the steady state do not consult it.
+# Largest superoperator side at which ``evolve`` steps states by a dense
+# propagator; larger systems take the Taylor kernel, whose memory is the
+# sparse generator's. Delay scans and the steady state do not consult it.
 DENSE_MAX_SIDE = 2704
 
 STEADY_RESIDUAL_TOL = 1e-10
@@ -99,10 +91,11 @@ STATIONARITY_TOL = 1e-8
 # Largest block side whose dense work runs on one BLAS thread.
 ONE_THREAD_MAX_SIDE = 512
 
-# Positivity slack allowed for propagated states: integration at the fixed
-# tolerance contract can push an eigenvalue of an (exactly) boundary state
-# slightly negative; fresh constructions keep the tighter DensityMatrix floor.
-PROPAGATED_MIN_EIG = -1e-7
+# Taylor kernel: degree cap m and theta_m of Al-Mohy and Higham's Table 3.1
+# for m = 55 in double precision; a substep of length tau keeps
+# ||L_r tau||_1 <= theta_m.
+TAYLOR_DEGREE = 55
+TAYLOR_THETA = 9.9
 
 
 @dataclass(frozen=True)
@@ -350,10 +343,10 @@ class Trajectory:
 
     Either the full state at every requested time (``states``) or expectation
     records for pre-registered observables (``expectations``) are stored; the
-    final state is always available. ``method`` is the propagation path
-    taken, "expm" or "adaptive", and ``propagation_side`` the side of the
-    space it propagated on, on either path: the union of invariant blocks of
-    L_r that holds the initial state's real coordinates.
+    final state is always available. ``method`` is the kernel that ran,
+    "expm" (dense propagator) or "taylor", and ``propagation_side`` the side
+    of the space it propagated on, with either kernel: the union of
+    invariant blocks of L_r that holds the initial state's real coordinates.
     """
 
     times: np.ndarray
@@ -361,7 +354,7 @@ class Trajectory:
     states: list[DensityMatrix] | None = None
     expectations: dict[str, np.ndarray] | None = None
     trace_drift: float = 0.0
-    method: str = "adaptive"
+    method: str = "expm"
     propagation_side: int | None = None
 
 
@@ -377,13 +370,6 @@ def check_time_grid(times) -> np.ndarray:
     if not np.all(np.isfinite(grid)) or grid[0] != 0.0 or np.any(np.diff(grid) <= 0):
         raise ValueError("time grid must be finite, start at 0 and increase strictly")
     return grid
-
-
-def _is_uniform(grid: np.ndarray) -> bool:
-    if grid.size < 3:
-        return True
-    steps = np.diff(grid)
-    return bool(np.allclose(steps, steps[0], rtol=1e-9, atol=1e-14))
 
 
 def _block_size(side: int, n_steps: int, n_rows: int) -> int:
@@ -476,9 +462,6 @@ def _expm_scan(
     rows by P_r^m, so values[:, a m + b] = (W U P_r^(a m)) (P_r^b y0), and
     reaches y_final by further giant steps.
     """
-    if n_steps == 0:
-        return (y0[:, None] if keep_states else None), y0
-
     with _dense_threads(y0.size):
         prop = liouvillian.propagator(dt, block)
         m = n_steps + 1
@@ -509,62 +492,69 @@ def _expm_scan(
         return ys, y
 
 
-def _adaptive_scan(
+def _taylor_scan(
     liouvillian: Liouvillian,
     y0: np.ndarray,
-    times: np.ndarray,
+    steps: np.ndarray,
+    weights: np.ndarray | None = None,
+    values: np.ndarray | None = None,
+    keep_states: bool = False,
     *,
     block: np.ndarray,
-) -> np.ndarray:
-    """DOP853 at ``RTOL``/``ATOL`` on dy/dt = L_r y, with the CSR slice of
-    L_r (:meth:`Liouvillian._real_generator`) on ``block``; returns y at each
-    requested time as the columns of an array, y0 alone for a one-point grid."""
-    if times.size == 1:  # nothing to integrate
-        return y0[:, None]
+):
+    """Step the real coordinates y0 of a vector on the invariant ``block``
+    through the intervals ``steps`` of a checked time grid by truncated
+    Taylor series of exp(L_r h), with the CSR slice of L_r
+    (:meth:`Liouvillian._real_generator`) there.
+
+    Each interval h takes s = ceil(||L_r||_1 h / ``TAYLOR_THETA``) substeps;
+    each substep sums the series to degree at most ``TAYLOR_DEGREE`` and
+    stops at the first term below 2^-53 of the sum's largest entry. Fills
+    and returns as :func:`_expm_scan` does, with y_final always set.
+    """
     real_gen = liouvillian._real_generator()[1][block][:, block]
-    sol = scipy.integrate.solve_ivp(
-        lambda _t, y: real_gen @ y,
-        (times[0], times[-1]),
-        y0,
-        method="DOP853",
-        t_eval=times,
-        rtol=RTOL,
-        atol=ATOL,
-    )
-    if not sol.success:
-        raise StiffnessError(
-            f"adaptive integration failed ({sol.message}); "
-            "retry with method='expm' on a uniform grid"
-        )
-    return sol.y
+    norm = abs(real_gen).sum(axis=0).max(initial=0.0)
+    kept = [y0]
+    y = y0
+    for k, h in enumerate(steps, start=1):
+        s = math.ceil(norm * h / TAYLOR_THETA)
+        for _ in range(s):
+            term, y = y, y.copy()
+            for j in range(1, TAYLOR_DEGREE + 1):
+                term = real_gen @ term
+                term *= h / (s * j)
+                y += term
+                if np.abs(term).max(initial=0.0) <= 2.0**-53 * np.abs(y).max(initial=0.0):
+                    break
+        if values is not None:
+            values[:, k] = weights @ y
+        if keep_states:
+            kept.append(y)
+    return (np.column_stack(kept) if keep_states else None), y
 
 
 def _propagate(
     liouvillian: Liouvillian,
     x0: np.ndarray,
     times: np.ndarray,
-    method: str = "auto",
     weight_ops: Sequence[QOperator] | None = None,
     keep_states: bool = False,
     final: bool = True,
+    dense: bool = True,
 ):
     """Propagate the vectorized state x0 over a checked time grid.
 
-    ``method="auto"`` takes exponential stepping on uniform grids of at
-    least 3 points, adaptive integration otherwise. Both kernels step the
-    real coordinates of the module docstring on the union of invariant
-    blocks that holds them (:meth:`Liouvillian.invariant_block`); a zero x0
-    has an empty block and stays zero. Returns the resolved method, the side
-    of that block, tr(weight_ops[r] x(times[k])) as ``values[r, k]`` (or
-    None), every x(t) when ``keep_states`` (or None), and x at the last time
-    (None on the exponential path when ``final`` is not set).
+    The dense kernel ("expm") runs on a uniform grid of at least 3 points
+    when ``dense`` allows it, the Taylor kernel ("taylor") otherwise. Both
+    step the real coordinates of the module docstring on the union of
+    invariant blocks that holds them (:meth:`Liouvillian.invariant_block`); a
+    zero x0 has an empty block and stays zero. Returns the kernel that ran,
+    the side of that block, tr(weight_ops[r] x(times[k])) as ``values[r, k]``
+    (or None), every x(t) when ``keep_states`` (or None), and x at the last
+    time (None on the dense kernel when ``final`` is not set).
     """
-    if method == "auto":
-        method = "expm" if times.size >= 3 and _is_uniform(times) else "adaptive"
-    if method not in ("expm", "adaptive"):
-        raise ValueError(f"unknown propagation method {method!r}")
-    if method == "expm" and not _is_uniform(times):
-        raise ValueError("expm propagation requires a uniform time grid")
+    steps = np.diff(times)
+    dense = dense and steps.size >= 2 and np.allclose(steps, steps[0], rtol=1e-9, atol=1e-14)
     block = liouvillian.invariant_block(x0)
     u = liouvillian._real_generator()[0][:, block]
     y0 = _real_if_exact(u.conj().T @ x0)
@@ -578,41 +568,37 @@ def _propagate(
         values = np.empty((rows.shape[0], times.size), dtype=complex)
         values[:, 0] = rows @ x0
 
-    if method == "expm":
-        dt = float(times[1] - times[0]) if times.size > 1 else 0.0
+    if dense:
         ys, y_final = _expm_scan(
-            liouvillian, y0, times.size - 1, dt, weights, values, keep_states,
+            liouvillian, y0, steps.size, float(steps[0]), weights, values, keep_states,
             block=block, final=final,
         )
     else:
-        ys = _adaptive_scan(liouvillian, y0, times, block=block)
-        y_final = ys[:, -1]
-        if values is not None:
-            values[:, 1:] = weights @ ys[:, 1:]
+        ys, y_final = _taylor_scan(
+            liouvillian, y0, steps, weights, values, keep_states, block=block
+        )
     columns = None
     if keep_states:
         columns = [x0, *(u @ ys[:, 1:]).T]
     x_final = None if y_final is None else u @ y_final
-    return method, block.size, values, columns, x_final
+    return "expm" if dense else "taylor", block.size, values, columns, x_final
 
 
 def evolve(
     liouvillian: Liouvillian,
     rho0: DensityMatrix,
     times,
-    method: str = "auto",
     observables: dict[str, QOperator] | None = None,
 ) -> Trajectory:
     """Propagate a density matrix over the requested times.
 
-    ``method="auto"`` resolves to exact exponential stepping ("expm") on
-    uniform grids of at least 3 points up to superoperator side
-    ``DENSE_MAX_SIDE`` and to adaptive integration at the fixed tolerances
-    ``RTOL``/``ATOL`` otherwise; the path taken and the side of the invariant
-    blocks it ran on are recorded on the trajectory. Both paths step the real
-    Hermitian coordinates rho_ii, sqrt(2) Re rho_ij and sqrt(2) Im rho_ij of
-    those blocks with the slice of the Liouvillian's one real generator
-    there, and the tolerances act on them component by component.
+    The dense kernel ("expm") runs on a uniform grid of at least 3 points up
+    to superoperator side ``DENSE_MAX_SIDE``, the Taylor kernel ("taylor")
+    on every other grid and side; both are exact to rounding, and the kernel
+    that ran and the side of the invariant blocks it ran on are recorded on
+    the trajectory. Both step the real Hermitian coordinates rho_ii,
+    sqrt(2) Re rho_ij and sqrt(2) Im rho_ij of those blocks with the slice
+    of the Liouvillian's one real generator there.
     With ``observables`` given (name -> operator), expectation records are
     stored instead of per-time states.
     """
@@ -621,13 +607,12 @@ def evolve(
     times = check_time_grid(times)
     d = liouvillian.space.total_dim
     x0 = _vec(np.asarray(rho0.matrix))
-    if method == "auto" and x0.size > DENSE_MAX_SIDE:
-        method = "adaptive"
     keep_states = observables is None
     names = list(observables or ())
     method, side, values, columns, x_final = _propagate(
-        liouvillian, x0, times, method,
+        liouvillian, x0, times,
         weight_ops=[observables[name] for name in names], keep_states=keep_states,
+        dense=x0.size <= DENSE_MAX_SIDE,
     )
 
     trace_row = _vec(np.eye(d, dtype=complex))
@@ -637,23 +622,14 @@ def evolve(
         raise ValidationError(f"trace drift {trace_drift:.3e} exceeds 1e-8")
 
     def state(x):
-        return DensityMatrix(
-            liouvillian.space, _sym(_unvec(x, d)), min_eig_floor=PROPAGATED_MIN_EIG
-        )
+        return DensityMatrix(liouvillian.space, _sym(_unvec(x, d)))
 
     states = [state(c) for c in columns] if keep_states else None
     expectations = None
     if observables is not None:
         expectations = {name: values[r].copy() for r, name in enumerate(names)}
-    return Trajectory(
-        times=times,
-        final_state=states[-1] if keep_states else state(x_final),
-        states=states,
-        expectations=expectations,
-        trace_drift=trace_drift,
-        method=method,
-        propagation_side=side,
-    )
+    final_state = states[-1] if keep_states else state(x_final)
+    return Trajectory(times, final_state, states, expectations, trace_drift, method, side)
 
 
 def _sym(mat: np.ndarray) -> np.ndarray:
@@ -750,7 +726,6 @@ def correlation(
     a_op: QOperator,
     b_op: QOperator,
     taus,
-    method: str = "auto",
 ) -> CorrelationSeries:
     """Stationary two-time correlation <A(tau) B(0)> by the regression rule.
 
@@ -771,9 +746,7 @@ def correlation(
     taus = check_time_grid(taus)
 
     seed = b_op.matrix @ rho_ss.matrix
-    method, side, values, _, _ = _propagate(
-        liouvillian, _vec(seed), taus, method, [a_op], final=False
-    )
+    method, side, values, _, _ = _propagate(liouvillian, _vec(seed), taus, [a_op], final=False)
     values = np.array(values[0], dtype=complex)
     values[0] = np.trace(a_op.matrix @ seed)
     return CorrelationSeries(

@@ -13,14 +13,6 @@ class DegenerateModelError(JTCQEDError, ValueError):
     """Model parameters collapse the effective-mode construction (k1 = k2 = 0)."""
 
 
-class StiffnessError(JTCQEDError, RuntimeError):
-    """Adaptive integration collapsed its step size.
-
-    The exponential propagation path (``method="expm"`` on a uniform time
-    grid) does not suffer from stiffness and should be used instead.
-    """
-
-
 class DegenerateSteadyStateError(JTCQEDError, RuntimeError):
     """The Liouvillian kernel is not one-dimensional; no unique steady state."""
 

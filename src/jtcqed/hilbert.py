@@ -277,8 +277,8 @@ class DensityMatrix:
     """A validated density matrix: unit trace, Hermitian, positive to slack.
 
     Validation thresholds (trace within 1e-9 of one, Hermitian to 1e-10,
-    minimum eigenvalue >= -1e-8) leave room for truncation and integration
-    error while catching genuinely broken states.
+    minimum eigenvalue >= -1e-8) leave room for rounding while catching
+    genuinely broken states; propagated states are held to the same floor.
     """
 
     __slots__ = ("space", "matrix")
@@ -287,7 +287,7 @@ class DensityMatrix:
     HERMITIAN_ATOL = 1e-10
     MIN_EIG = -1e-8
 
-    def __init__(self, space: SpaceSpec, matrix: np.ndarray, min_eig_floor: float | None = None):
+    def __init__(self, space: SpaceSpec, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=complex)
         n = space.total_dim
         if matrix.shape != (n, n):
@@ -300,10 +300,9 @@ class DensityMatrix:
         herm_defect = np.abs(matrix - matrix.conj().T).max()
         if herm_defect > self.HERMITIAN_ATOL:
             raise ValidationError(f"Hermiticity defect {herm_defect:.3e} beyond tolerance")
-        floor = self.MIN_EIG if min_eig_floor is None else min_eig_floor
         min_eig = np.linalg.eigvalsh((matrix + matrix.conj().T) / 2.0).min()
-        if min_eig < floor:
-            raise ValidationError(f"minimum eigenvalue {min_eig:.3e} below {floor}")
+        if min_eig < self.MIN_EIG:
+            raise ValidationError(f"minimum eigenvalue {min_eig:.3e} below {self.MIN_EIG}")
         matrix = matrix.copy()
         matrix.setflags(write=False)
         object.__setattr__(self, "space", space)

@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import jtcqed
-from jtcqed import DensityMatrix, QOperator, SpaceSpec
+from jtcqed import DensityMatrix, QOperator, SpaceSpec, dynamics
 
 
 @pytest.fixture
@@ -43,6 +44,21 @@ def truncated_geometric(dim: int, nbar: float) -> np.ndarray:
     q = nbar / (1.0 + nbar)
     p = q ** np.arange(dim)
     return p / p.sum()
+
+
+# The two propagation kernels, as recorded in ``method``.
+KERNELS = ("expm", "taylor")
+
+
+@contextmanager
+def on_kernel(monkeypatch, kernel: str):
+    """Inside, ``evolve`` (and so ``imbalance``) takes ``kernel`` on a uniform
+    grid of at least 3 points: "taylor" lowers ``dynamics.DENSE_MAX_SIDE``
+    below every side, "expm" leaves it. Delay scans do not consult it."""
+    with monkeypatch.context() as patch:
+        if kernel == "taylor":
+            patch.setattr(dynamics, "DENSE_MAX_SIDE", 0)
+        yield
 
 
 def bundled_openblas() -> bool:

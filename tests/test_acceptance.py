@@ -39,7 +39,7 @@ from jtcqed.cli import execute
 from jtcqed.config import config_from_mapping
 from jtcqed.presets import PRESETS
 
-from conftest import random_density, random_hermitian, truncated_geometric
+from conftest import KERNELS, on_kernel, random_density, random_hermitian, truncated_geometric
 
 SQRT2 = np.sqrt(2.0)
 
@@ -72,7 +72,7 @@ def test_criterion_1_thermal_fixture():
               f"match the truncated-geometric oracle to 1e-9", elapsed)
 
 
-def test_criterion_2_propagator_equivalence(rng):
+def test_criterion_2_propagator_equivalence(rng, monkeypatch):
     start = time.perf_counter()
     spaces = [
         SpaceSpec((2,), 0), SpaceSpec((3,), 0), SpaceSpec((4,), 0),
@@ -81,7 +81,7 @@ def test_criterion_2_propagator_equivalence(rng):
         SpaceSpec((3, 2), 0),
     ]
     times = np.linspace(0.0, 100.0, 11)
-    worst = 0.0
+    worst = dict.fromkeys(KERNELS, 0.0)
     for trial in range(20):
         space = spaces[trial % len(spaces)]
         h = random_hermitian(space, rng, scale=0.5)
@@ -94,17 +94,24 @@ def test_criterion_2_propagator_equivalence(rng):
         )
         liou = build_liouvillian(h, diss)
         rho0 = random_density(space, rng)
-        traj = evolve(liou, rho0, times, method="adaptive")
         d = space.total_dim
         vec0 = rho0.matrix.ravel(order="F")
-        for t, state in zip(times, traj.states):
-            oracle = (scipy.linalg.expm(liou.matrix * t) @ vec0).reshape((d, d), order="F")
-            worst = max(worst, float(np.abs(state.matrix - oracle).max()))
-    assert worst <= 1e-7
+        oracles = [
+            (scipy.linalg.expm(liou.matrix * t) @ vec0).reshape((d, d), order="F")
+            for t in times
+        ]
+        for kernel in KERNELS:
+            with on_kernel(monkeypatch, kernel):
+                traj = evolve(liou, rho0, times)
+            assert traj.method == kernel
+            for state, oracle in zip(traj.states, oracles):
+                worst[kernel] = max(worst[kernel], float(np.abs(state.matrix - oracle).max()))
+    assert max(worst.values()) <= 1e-12
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
-    report(2, f"20 random models, adaptive vs exp(Lt) oracle, worst elementwise "
-              f"difference {worst:.2e} <= 1e-7 over t in [0, 100]", elapsed)
+    report(2, f"20 random models, dense expm {worst['expm']:.2e} and Taylor "
+              f"{worst['taylor']:.2e} worst elementwise difference from the exp(Lt) "
+              f"oracle, <= 1e-12 over t in [0, 100]", elapsed)
 
 
 def test_criterion_3_eigenscan_closed_forms(rng):
@@ -246,11 +253,12 @@ def test_criterion_7_imbalance_suite(tmp_path):
               f"g2_r(0) = {g2r0:.2f} < 0.5", time.perf_counter() - start)
 
 
-def test_criterion_8_cptp_suite(rng):
+def test_criterion_8_cptp_suite(rng, monkeypatch):
     start = time.perf_counter()
     space = SpaceSpec((2, 2), 1)
     times = np.linspace(0.0, 20.0, 6)
     checked_steady = 0
+    lowest = np.inf
     for trial in range(100):
         h = random_hermitian(space, rng, scale=0.5)
         diss = DissipationParams(
@@ -262,22 +270,24 @@ def test_criterion_8_cptp_suite(rng):
         )
         liou = build_liouvillian(h, diss)
         rho0 = random_density(space, rng)
-        for method in ("adaptive", "expm"):
-            traj = evolve(liou, rho0, times, method=method)
-            assert traj.method == method
+        for kernel in KERNELS:
+            with on_kernel(monkeypatch, kernel):
+                traj = evolve(liou, rho0, times)
+            assert traj.method == kernel
             assert traj.trace_drift <= 1e-8
             for state in traj.states:
-                assert np.linalg.eigvalsh(state.matrix).min() >= -1e-7
+                lowest = min(lowest, np.linalg.eigvalsh(state.matrix).min())
         try:
             rho_ss = steady_state(liou)
         except DegenerateSteadyStateError:
             continue
         assert liou.stationarity_residual(rho_ss) <= 1e-10
         checked_steady += 1
+    assert lowest >= DensityMatrix.MIN_EIG  # the floor of a fresh state
     assert checked_steady >= 50  # dissipative draws dominate
-    report(8, "100 random configs on both propagation paths: trace drift <= 1e-8, "
-              f"positivity >= -1e-7, {checked_steady} unique steady states "
-              "with residual <= 1e-10",
+    report(8, "100 random configs on both propagation kernels: trace drift <= 1e-8, "
+              f"lowest eigenvalue {lowest:.1e} >= {DensityMatrix.MIN_EIG}, "
+              f"{checked_steady} unique steady states with residual <= 1e-10",
            time.perf_counter() - start)
 
 

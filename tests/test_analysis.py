@@ -28,7 +28,7 @@ from jtcqed import (
     steady_state,
 )
 
-from conftest import coherent_ket, truncated_geometric
+from conftest import KERNELS, coherent_ket, on_kernel, truncated_geometric
 
 SMALL = SpaceSpec((2, 2), 1)
 
@@ -262,14 +262,33 @@ class TestG2:
         assert verbatim.values[0] == pytest.approx(standard.values[0] * nbar, rel=1e-10)
 
     def test_one_point_grid(self):
-        # auto takes the adaptive path on one point; it agrees with the
-        # first point of a grid long enough for the exponential path
+        # one point takes the Taylor kernel; it agrees with the first point
+        # of a grid long enough for the dense kernel
         space, liou = thermal_cavity(kappa=0.05)
         rho0 = DensityMatrix.from_pure(space, coherent_ket(5, 0.6))
         one = g2(liou, rho0, taus=[0.0])
         three = g2(liou, rho0, taus=[0.0, 1.0, 2.0])
-        assert (one.metadata["method"], three.metadata["method"]) == ("adaptive", "expm")
+        assert (one.metadata["method"], three.metadata["method"]) == ("taylor", "expm")
         assert np.array_equal(one.values, three.values[:1])
+
+    def test_taylor_matches_oracle(self):
+        # a non-uniform grid takes the Taylor kernel; oracle: one-shot
+        # complex expm(L tau) on the seed a rho0 a^dag
+        space = SpaceSpec((3, 2), 1)
+        h = build_dimensionless_hamiltonian(space, 0.1, 0.2)
+        liou = build_liouvillian(h, DissipationParams(kappa1=0.02, kappa2=0.01, gamma=0.01))
+        rho0 = DensityMatrix.from_pure(space, basis_ket(space, [2, 0], ["e"]))
+        taus = np.array([0.0, 0.5, 2.0, 9.0, 30.0])
+        series = g2(liou, rho0, taus=taus)
+        assert series.metadata["method"] == "taylor"
+        a = annihilation(space, 0).matrix
+        seed = (a @ rho0.matrix @ a.conj().T).ravel(order="F")
+        row = (a.conj().T @ a).T.ravel(order="F")
+        nbar = np.trace(a.conj().T @ a @ rho0.matrix).real
+        oracle = np.array([
+            (row @ scipy.linalg.expm(liou.matrix * tau) @ seed).real for tau in taus
+        ]) / nbar**2
+        assert np.abs(series.values - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
     def test_qubit_target_starts_blocked(self):
         space = SpaceSpec((2, 2), 1)
@@ -320,7 +339,7 @@ class TestImbalance:
         assert series.z[0] == pytest.approx(1.0, abs=1e-9)
         assert series.n1[0] == pytest.approx(1.0, abs=1e-9)
 
-    def test_exchange_symmetry(self):
+    def test_exchange_symmetry(self, monkeypatch):
         # k = 0 and delta = 0: the model is symmetric under mode swap, so a
         # symmetric initial state keeps zero imbalance forever
         space = SpaceSpec((3, 3), 1)
@@ -328,9 +347,10 @@ class TestImbalance:
         liou = build_liouvillian(h, DissipationParams())
         ket = basis_ket(space, [1, 0], ["g"]) + basis_ket(space, [0, 1], ["g"])
         rho0 = DensityMatrix.from_pure(space, ket)
-        for method in ("adaptive", "expm"):
-            series = imbalance(liou, rho0, np.linspace(0.0, 50.0, 26), method=method)
-            assert series.metadata["method"] == method
+        for kernel in KERNELS:
+            with on_kernel(monkeypatch, kernel):
+                series = imbalance(liou, rho0, np.linspace(0.0, 50.0, 26))
+            assert series.metadata["method"] == kernel
             assert np.nanmax(np.abs(series.z)) <= 1e-8
 
     def test_records_resolved_method(self):
@@ -339,8 +359,8 @@ class TestImbalance:
         uniform = imbalance(liou, rho0, np.linspace(0.0, 10.0, 6))
         assert uniform.metadata["method"] == "expm"
         uneven = imbalance(liou, rho0, [0.0, 1.0, 4.0, 10.0])
-        assert uneven.metadata["method"] == "adaptive"
-        assert np.abs(uneven.z[-1] - uniform.z[-1]) <= 1e-7
+        assert uneven.metadata["method"] == "taylor"
+        assert np.abs(uneven.z[-1] - uniform.z[-1]) <= 1e-12
 
     def test_vacuum_points_are_missing(self):
         space = SpaceSpec((3, 3), 1)
@@ -351,12 +371,13 @@ class TestImbalance:
         series = imbalance(liou, rho0, np.linspace(0.0, 10.0, 5))
         assert np.all(np.isnan(series.z))
 
-    def test_bounds_and_total(self):
+    def test_bounds_and_total(self, monkeypatch):
         space, liou = self.build(k=0.2, delta=0.5)
         rho0 = DensityMatrix.from_pure(space, basis_ket(space, [2, 0], ["e"]))
-        for method in ("adaptive", "expm"):
-            series = imbalance(liou, rho0, np.linspace(0.0, 100.0, 51), method=method)
-            assert series.metadata["method"] == method
+        for kernel in KERNELS:
+            with on_kernel(monkeypatch, kernel):
+                series = imbalance(liou, rho0, np.linspace(0.0, 100.0, 51))
+            assert series.metadata["method"] == kernel
             finite = series.z[np.isfinite(series.z)]
             assert np.abs(finite).max() <= 1.0
             assert series.n1.min() >= -1e-10

@@ -7,8 +7,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from jtcqed import SpaceSpec, build_dimensionless_hamiltonian, eigen_lowest
+from jtcqed import (
+    DensityMatrix,
+    DissipationParams,
+    SpaceSpec,
+    basis_ket,
+    build_dimensionless_hamiltonian,
+    build_liouvillian,
+    eigen_lowest,
+    number_operator,
+)
 from jtcqed import cli, dynamics
 from jtcqed.cli import main
 from jtcqed.config import config_from_mapping
@@ -278,8 +288,9 @@ class TestConfigErrors:
             ("imbalance", "numerics", "initial_state", "7,0,e"),
             ("imbalance", "numerics", "times", "1:10:3"),
             ("g2", "numerics", "times", "1:10:3"),
-            # unknown keys; the adaptive tolerances are fixed, so a config
-            # that sets them, even to their values, is refused
+            # unknown keys; propagation has no tolerance to set, so a config
+            # that sets the retired `tolerances` key, even to its old values,
+            # is refused
             ("eigenscan", "model", "obrien_normalization", "true"),
             ("imbalance", "numerics", "tolerances", "abc, 1e-10"),
             ("imbalance", "numerics", "tolerances", "1e-8, 1e-10"),
@@ -378,7 +389,46 @@ class TestTaskRuns:
         assert len(lines) == 2
         assert [float(v) for v in lines[1].split(",")] == pytest.approx([0.0, 1.0, 0.0, 1.0], abs=1e-12)
         manifest = json.loads((tmp_path / "imb.manifest.json").read_text())
-        assert manifest["notes"]["method"] == "adaptive"
+        assert manifest["notes"]["method"] == "taylor"
+
+    @pytest.mark.parametrize("times", ["0, 1, 3, 7, 20", "0, 5"])
+    def test_taylor_imbalance_run_matches_oracle(self, tmp_path, times):
+        # a non-uniform and a two-point grid, which the dense kernel does not
+        # take; oracle: one-shot complex expm(L t) per row
+        out = tmp_path / "imb.csv"
+        cfg = write_config(
+            tmp_path / "run.ini",
+            f"""
+            [run]
+            task = imbalance
+
+            [model]
+            k = 0.1
+            delta = 0.2
+            fock_dims = 2, 2
+
+            [numerics]
+            times = {times}
+            initial_state = 1,0,e
+
+            [output]
+            path = {out}
+            precision = 17
+            """,
+        )
+        assert main(["run", cfg]) == 0
+        table = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+        assert table[:, 0].tolist() == [float(t) for t in times.split(",")]
+        space = SpaceSpec((2, 2), 1)
+        h = build_dimensionless_hamiltonian(space, 0.1, 0.2)
+        liou = build_liouvillian(h, DissipationParams())
+        x0 = DensityMatrix.from_pure(space, basis_ket(space, [1, 0], ["e"])).matrix.ravel(order="F")
+        rows = np.array([number_operator(space, j).matrix.T.ravel(order="F") for j in (0, 1)])
+        n = np.array([(rows @ scipy.linalg.expm(liou.matrix * t) @ x0).real for t in table[:, 0]])
+        oracle = np.column_stack([table[:, 0], n, (n[:, 0] - n[:, 1]) / n.sum(axis=1)])
+        assert np.all(np.abs(table - oracle).max(axis=0) <= 1e-12 * np.abs(oracle).max(axis=0))
+        manifest = json.loads((tmp_path / "imb.manifest.json").read_text())
+        assert manifest["notes"]["method"] == "taylor"
 
     def test_imbalance_missing_values_are_empty_fields(self, tmp_path):
         out = tmp_path / "imb.csv"
@@ -491,7 +541,7 @@ class TestTaskRuns:
         run, reads = cli._RUNNERS[task]
         notes = run(Recorder())[2]
         assert read == set(reads)
-        assert notes.get("method", "adaptive") == "adaptive"
+        assert notes.get("method", "taylor") == "taylor"
         assert set(cfg.given_keys) == {key for keys in fields.values() for key in keys}
 
     def test_g2_undefined_coherence_is_numerical_error(self, tmp_path, capsys):
@@ -689,22 +739,26 @@ COLD_START = COLD_IMPORT + """
 at_import = loaded()
 threads = threading.active_count()
 
-omegas = np.linspace(-1.0, 1.0, 201)
-values = np.exp(-(((omegas - 0.5) / 0.05) ** 2)) + 0.5 * np.exp(-(((omegas + 0.3) / 0.05) ** 2))
-peaks = jtcqed.spectrum_peaks(jtcqed.SpectrumSeries(omegas, values))
-
+# the Taylor kernel on a non-uniform grid against the dense kernel at the
+# same times; scipy.signal, used below, loads scipy.integrate itself
 space = jtcqed.SpaceSpec((2, 2), 1)
 h = jtcqed.build_dimensionless_hamiltonian(space, 0.05, 0.0)
 liou = jtcqed.build_liouvillian(h, jtcqed.DissipationParams())
 rho0 = jtcqed.DensityMatrix.from_pure(space, jtcqed.basis_ket(space, [1, 0], ["e"]))
-times = np.linspace(0.0, 8.0, 5)
-adaptive = jtcqed.evolve(liou, rho0, times, method="adaptive")
-exact = jtcqed.evolve(liou, rho0, times, method="expm")
-gap = max(np.abs(a.matrix - b.matrix).max() for a, b in zip(adaptive.states, exact.states))
+stepped = jtcqed.evolve(liou, rho0, [0.0, 2.0, 6.0, 8.0])
+exact = jtcqed.evolve(liou, rho0, np.linspace(0.0, 8.0, 5))
+pairs = zip(stepped.states, [exact.states[k] for k in (0, 1, 3, 4)])
+gap = max(np.abs(a.matrix - b.matrix).max() for a, b in pairs)
+integrate = "scipy.integrate" in sys.modules
+
+omegas = np.linspace(-1.0, 1.0, 201)
+values = np.exp(-(((omegas - 0.5) / 0.05) ** 2)) + 0.5 * np.exp(-(((omegas + 0.3) / 0.05) ** 2))
+peaks = jtcqed.spectrum_peaks(jtcqed.SpectrumSeries(omegas, values))
 
 print(json.dumps({
     "loaded": at_import, "lookups": lookups, "threads": threads,
-    "peaks": peaks, "method": adaptive.method, "gap": float(gap),
+    "peaks": peaks, "methods": [stepped.method, exact.method], "gap": float(gap),
+    "integrate": integrate,
 }))
 """
 
@@ -740,7 +794,7 @@ if sys.argv[2] == "steady_state":
     side = liou.invariant_block(np.eye(8).ravel()).size
     jtcqed.steady_state(liou)
 else:
-    side = jtcqed.evolve(liou, rho0, np.linspace(0.0, 8.0, 5), method="expm").propagation_side
+    side = jtcqed.evolve(liou, rho0, np.linspace(0.0, 8.0, 5)).propagation_side
 sys.setprofile(None)
 
 print(json.dumps({
@@ -753,7 +807,8 @@ print(json.dumps({
 class TestColdStart:
     def test_signal_and_integrate_load_on_first_use(self):
         # A fresh interpreter: importing the package loads no SciPy submodule,
-        # and every one of them still works on first use.
+        # every one it uses still works on first use, and no propagation
+        # loads scipy.integrate.
         out = run_fresh(COLD_START)
         assert out["loaded"] == []
         # nor look up the BLAS libraries or start a thread
@@ -761,8 +816,9 @@ class TestColdStart:
         assert out["threads"] == 1
         assert [omega for omega, _ in out["peaks"]] == pytest.approx([-0.3, 0.5])
         assert [power for _, power in out["peaks"]] == pytest.approx([0.5, 1.0], rel=1e-3)
-        assert out["method"] == "adaptive"
-        assert out["gap"] < 1e-6
+        assert out["methods"] == ["taylor", "expm"]
+        assert out["gap"] <= 1e-12
+        assert not out["integrate"]
 
     @pytest.mark.skipif(not bundled_openblas(), reason="NumPy is not built on OpenBLAS on Linux")
     @pytest.mark.parametrize("first", ["steady_state", "evolve"])

@@ -29,7 +29,7 @@ from jtcqed import (
     steady_state,
 )
 
-from conftest import random_density, random_hermitian, truncated_geometric
+from conftest import KERNELS, on_kernel, random_density, random_hermitian, truncated_geometric
 
 CAVITY = SpaceSpec((5,), 0)
 SMALL = SpaceSpec((2, 2), 1)
@@ -252,9 +252,9 @@ class TestInvariantBlocks:
         rho = steady_state(liou)
         a1 = annihilation(BLOCK_SPACE, 0)
         rho0 = DensityMatrix.from_pure(BLOCK_SPACE, basis_ket(BLOCK_SPACE, [1, 0], ["e"]))
-        for method in ("expm", "adaptive"):
-            correlation(liou, rho, a1.dag(), a1, np.linspace(0.0, 20.0, 5), method=method)
-            evolve(liou, rho0, np.linspace(0.0, 20.0, 5), method=method)
+        for times in (np.linspace(0.0, 20.0, 5), [0.0, 1.0, 3.0, 20.0]):  # expm, then taylor
+            correlation(liou, rho, a1.dag(), a1, times)
+            evolve(liou, rho0, times)
         assert builds.count(True) == 1 and len(builds) > 1
 
     def test_full_model_off_resonance_is_one_block(self):
@@ -349,7 +349,7 @@ class TestBlockPropagation:
             liou.propagator(7.0, sector)
         self.assert_propagator_matches_complex_expm(liou, 7.0, block)
         taus = np.linspace(0.0, 40.0, 9)
-        series = correlation(liou, rho, a2.dag(), a2, taus, method="expm")
+        series = correlation(liou, rho, a2.dag(), a2, taus)
         assert series.metadata["propagation_side"] == block.size
         row = a2.dag().matrix.T.ravel(order="F")
         oracle = np.array([row @ self.oracle(liou, x0, t) for t in taus])
@@ -360,7 +360,7 @@ class TestBlockPropagation:
         rho = steady_state(liou)
         a = annihilation(BLOCK_SPACE, 0)
         taus = np.linspace(0.0, 40.0, 9)
-        series = correlation(liou, rho, a.dag(), a, taus, method="expm")
+        series = correlation(liou, rho, a.dag(), a, taus)
         side = BLOCK_SPACE.total_dim**2
         assert series.metadata["propagation_side"] == side // 2
         x0 = (a.matrix @ rho.matrix).ravel(order="F")
@@ -374,7 +374,7 @@ class TestBlockPropagation:
         rho0 = DensityMatrix.from_pure(BLOCK_SPACE, basis_ket(BLOCK_SPACE, [1, 0], ["e"]))
         x0 = rho0.matrix.ravel(order="F")
         times = np.linspace(0.0, 40.0, 9)
-        traj = evolve(liou, rho0, times, method="expm")
+        traj = evolve(liou, rho0, times)
         assert traj.propagation_side == d * d // 2
         for t, state in zip(times, traj.states):
             oracle = self.oracle(liou, x0, t).reshape((d, d), order="F")
@@ -382,41 +382,49 @@ class TestBlockPropagation:
         # values-only on giant steps: the final state is embedded back too
         monkeypatch.setattr(dynamics, "_block_size", lambda side, steps, n: 4)
         n1 = number_operator(BLOCK_SPACE, 0)
-        traj = evolve(liou, rho0, times, method="expm", observables={"n1": n1})
+        traj = evolve(liou, rho0, times, observables={"n1": n1})
         oracle = self.oracle(liou, x0, times[-1]).reshape((d, d), order="F")
         assert np.abs(traj.final_state.matrix - oracle).max() <= 1e-12
         assert traj.expectations["n1"][-1] == pytest.approx(
             np.trace(n1.matrix @ oracle), abs=1e-12
         )
 
-    def test_adaptive_evolve_runs_on_parity_block(self):
+    def test_taylor_evolve_runs_on_parity_block(self, monkeypatch):
+        # the dense propagator against the Taylor stepper, states and
+        # observables-only records, on the parity block
         liou = self.linear()
         d = BLOCK_SPACE.total_dim
         rho0 = DensityMatrix.from_pure(BLOCK_SPACE, basis_ket(BLOCK_SPACE, [1, 0], ["e"]))
         times = np.linspace(0.0, 40.0, 9)
-        adaptive = evolve(liou, rho0, times, method="adaptive")
-        exact = evolve(liou, rho0, times, method="expm")
-        assert adaptive.propagation_side == exact.propagation_side == d * d // 2
-        for sa, se in zip(adaptive.states, exact.states):
-            assert np.abs(sa.matrix - se.matrix).max() <= 1e-7
+        n1 = {"n1": number_operator(BLOCK_SPACE, 0)}
+        with on_kernel(monkeypatch, "taylor"):
+            taylor, taylor_n = evolve(liou, rho0, times), evolve(liou, rho0, times, observables=n1)
+        exact, exact_n = evolve(liou, rho0, times), evolve(liou, rho0, times, observables=n1)
+        assert (taylor.method, exact.method) == ("taylor", "expm")
+        assert taylor.propagation_side == exact.propagation_side == d * d // 2
+        for st, se in zip(taylor.states, exact.states):
+            assert np.abs(st.matrix - se.matrix).max() <= 1e-12
+        gap = np.abs(taylor_n.expectations["n1"] - exact_n.expectations["n1"]).max()
+        assert gap <= 1e-12 * np.abs(exact_n.expectations["n1"]).max()
+        assert np.abs(taylor_n.final_state.matrix - exact.final_state.matrix).max() <= 1e-12
 
-    def test_adaptive_correlation_matches_oracle(self):
+    def test_taylor_correlation_matches_oracle(self):
         # a non-uniform delay grid: the complex seed a rho_ss on its parity
-        # block, integrated adaptively
+        # block, stepped by the Taylor kernel
         liou = self.linear()
         rho = steady_state(liou)
         a = annihilation(BLOCK_SPACE, 0)
         taus = np.array([0.0, 1.0, 3.0, 7.0, 15.0, 40.0])
         series = correlation(liou, rho, a.dag(), a, taus)
-        assert series.metadata["method"] == "adaptive"
+        assert series.metadata["method"] == "taylor"
         assert series.metadata["propagation_side"] == BLOCK_SPACE.total_dim**2 // 2
         x0 = (a.matrix @ rho.matrix).ravel(order="F")
         row = a.dag().matrix.T.ravel(order="F")
         oracle = np.array([row @ self.oracle(liou, x0, t) for t in taus])
-        assert np.abs(series.values - oracle).max() <= 1e-7 * np.abs(oracle).max()
+        assert np.abs(series.values - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
-    def test_adaptive_rhs_is_real_generator(self, monkeypatch):
-        # the adaptive right-hand side is the real block generator, never the
+    def test_taylor_steps_real_generator(self, monkeypatch):
+        # the Taylor kernel steps with the real block generator, never the
         # complex whole-space mat-vec of Liouvillian.apply
         liou = self.linear()
         rho0 = DensityMatrix.from_pure(BLOCK_SPACE, basis_ket(BLOCK_SPACE, [1, 0], ["e"]))
@@ -426,7 +434,7 @@ class TestBlockPropagation:
             dynamics.Liouvillian, "apply", lambda self, mat: calls.append(1) or apply(self, mat)
         )
         traj = evolve(liou, rho0, [0.0, 1.0, 3.0, 7.0])
-        assert traj.method == "adaptive"
+        assert traj.method == "taylor"
         assert calls == []
 
     def test_discarded_final_state_is_not_stepped(self, rng, monkeypatch):
@@ -460,40 +468,44 @@ class TestBlockPropagation:
 
 
 class TestEvolve:
-    def test_unitary_preserves_purity(self, rng):
+    def test_unitary_preserves_purity(self, rng, monkeypatch):
         h = random_hermitian(SMALL, rng)
         diss = DissipationParams(kappa1=0.0, kappa2=0.0, gamma=0.0, gamma_phi=0.0, n_th=0.0)
         liou = build_liouvillian(h, diss)
         rho0 = DensityMatrix.from_pure(SMALL, basis_ket(SMALL, [1, 0], ["e"]))
-        for method in ("adaptive", "expm"):
-            traj = evolve(liou, rho0, np.linspace(0.0, 20.0, 11), method=method)
-            assert traj.method == method
+        for kernel in KERNELS:
+            with on_kernel(monkeypatch, kernel):
+                traj = evolve(liou, rho0, np.linspace(0.0, 20.0, 11))
+            assert traj.method == kernel
             purities = [s.purity() for s in traj.states]
             assert np.abs(np.array(purities) - 1.0).max() <= 1e-8
 
-    def test_trace_preserved(self, rng):
+    def test_trace_preserved(self, rng, monkeypatch):
         h = build_dimensionless_hamiltonian(SMALL, 0.3, 0.5)
         liou = build_liouvillian(h, DissipationParams(kappa1=0.02, kappa2=0.02))
         rho0 = random_density(SMALL, rng)
-        for method in ("adaptive", "expm"):
-            traj = evolve(liou, rho0, np.linspace(0.0, 50.0, 26), method=method)
-            assert traj.method == method
+        for kernel in KERNELS:
+            with on_kernel(monkeypatch, kernel):
+                traj = evolve(liou, rho0, np.linspace(0.0, 50.0, 26))
+            assert traj.method == kernel
             assert traj.trace_drift <= 1e-8
             for state in traj.states:
                 assert abs(np.trace(state.matrix) - 1.0) <= 1e-9
 
     def test_matches_exponential_oracle(self, rng):
         # Oracle: one-shot expm(L t) on the vectorized state at each time,
-        # independent of both production propagation paths.
+        # independent of both production kernels; a non-uniform grid takes
+        # the Taylor kernel.
         h = build_dimensionless_hamiltonian(SMALL, 0.15, 0.4)
         liou = build_liouvillian(h, DissipationParams(kappa1=0.01, kappa2=0.02, gamma=0.01))
         rho0 = DensityMatrix.from_pure(SMALL, basis_ket(SMALL, [1, 0], ["e"]))
-        times = np.linspace(0.0, 40.0, 9)
-        traj = evolve(liou, rho0, times, method="adaptive")
+        times = np.array([0.0, 0.5, 3.0, 10.0, 25.0, 40.0])
+        traj = evolve(liou, rho0, times)
+        assert traj.method == "taylor"
         vec0 = rho0.matrix.ravel(order="F")
         for t, state in zip(times, traj.states):
             oracle = (scipy.linalg.expm(liou.matrix * t) @ vec0).reshape((8, 8), order="F")
-            assert np.abs(state.matrix - oracle).max() <= 1e-7
+            assert np.abs(state.matrix - oracle).max() <= 1e-12
 
     @pytest.mark.parametrize("whole", [False, True])
     def test_complex_coherences_match_stepped_oracle(self, whole):
@@ -512,32 +524,33 @@ class TestEvolve:
         x = rho0.matrix.ravel(order="F")
         assert (liou.invariant_block(x).size == x.size) == whole
         times = np.linspace(0.0, 200.0, 11)
-        traj = evolve(liou, rho0, times, method="expm")
+        traj = evolve(liou, rho0, times)
         prop = scipy.linalg.expm(liou.matrix * (times[1] - times[0]))
         d = space.total_dim
         for state in traj.states:
             assert np.abs(state.matrix - x.reshape((d, d), order="F")).max() <= 1e-12
             x = prop @ x
 
-    def test_expm_path_matches_adaptive(self, rng):
+    def test_expm_path_matches_taylor(self, rng, monkeypatch):
         h = build_dimensionless_hamiltonian(SMALL, 0.2, 0.3)
         liou = build_liouvillian(h, DissipationParams())
         rho0 = random_density(SMALL, rng)
         times = np.linspace(0.0, 30.0, 16)
-        t_a = evolve(liou, rho0, times, method="adaptive")
-        t_e = evolve(liou, rho0, times, method="expm")
-        for sa, se in zip(t_a.states, t_e.states):
-            assert np.abs(sa.matrix - se.matrix).max() <= 1e-7
+        with on_kernel(monkeypatch, "taylor"):
+            t_t = evolve(liou, rho0, times)
+        t_e = evolve(liou, rho0, times)
+        assert (t_t.method, t_e.method) == KERNELS[::-1]
+        for st, se in zip(t_t.states, t_e.states):
+            assert np.abs(st.matrix - se.matrix).max() <= 1e-12
 
-    def test_observable_recording(self):
+    def test_observable_recording(self, monkeypatch):
         space, liou = thermal_cavity(kappa=0.05)
         rho0 = DensityMatrix.from_pure(space, basis_ket(space, [2], []))
         times = np.linspace(0.0, 100.0, 21)
-        for method in ("adaptive", "expm"):
-            traj = evolve(
-                liou, rho0, times, method=method, observables={"n": number_operator(space, 0)}
-            )
-            assert traj.method == method
+        for kernel in KERNELS:
+            with on_kernel(monkeypatch, kernel):
+                traj = evolve(liou, rho0, times, observables={"n": number_operator(space, 0)})
+            assert traj.method == kernel
             assert traj.states is None
             n = traj.expectations["n"].real
             assert n[0] == pytest.approx(2.0, abs=1e-9)
@@ -551,8 +564,6 @@ class TestEvolve:
             evolve(liou, rho0, [1.0, 2.0])
         with pytest.raises(ValueError):
             evolve(liou, rho0, [0.0, 2.0, 1.0])
-        with pytest.raises(ValueError):
-            evolve(liou, rho0, [0.0, 1.0, 3.0], method="expm")
 
 
 class TestMethodResolution:
@@ -566,46 +577,40 @@ class TestMethodResolution:
         liou, rho0 = self.build()
         assert evolve(liou, rho0, np.linspace(0.0, 20.0, 5)).method == "expm"
 
-    def test_non_uniform_grid_takes_adaptive(self):
+    def test_non_uniform_grid_takes_taylor(self):
         liou, rho0 = self.build()
-        assert evolve(liou, rho0, [0.0, 1.0, 3.0, 7.0]).method == "adaptive"
+        assert evolve(liou, rho0, [0.0, 1.0, 3.0, 7.0]).method == "taylor"
 
-    def test_short_grid_takes_adaptive(self):
+    def test_short_grid_takes_taylor(self):
         liou, rho0 = self.build()
-        assert evolve(liou, rho0, [0.0, 5.0]).method == "adaptive"
+        assert evolve(liou, rho0, [0.0, 5.0]).method == "taylor"
 
     def test_one_point_grid_is_the_seed(self):
-        # a one-point grid integrates nothing: the adaptive path returns the
-        # seed as its one column, as the exponential path does
+        # a one-point grid steps nothing: the Taylor kernel returns the seed
+        # as its one column
         liou, rho0 = self.build()
         rho = steady_state(liou)
         a = annihilation(SMALL, 0)
-        n = {"n": number_operator(SMALL, 0)}
-        exact = evolve(liou, rho0, [0.0], method="expm")
-        exact_n = evolve(liou, rho0, [0.0], method="expm", observables=n)
-        exact_corr = correlation(liou, rho, a.dag(), a, [0.0], method="expm")
-        for method in ("auto", "adaptive"):
-            traj = evolve(liou, rho0, [0.0], method=method)
-            assert traj.method == "adaptive"
-            assert len(traj.states) == 1
-            assert np.array_equal(traj.final_state.matrix, exact.final_state.matrix)
-            assert np.array_equal(traj.final_state.matrix, rho0.matrix)
-            recorded = evolve(liou, rho0, [0.0], method=method, observables=n)
-            assert np.array_equal(recorded.expectations["n"], exact_n.expectations["n"])
-            assert np.array_equal(recorded.final_state.matrix, exact_n.final_state.matrix)
-            series = correlation(liou, rho, a.dag(), a, [0.0], method=method)
-            assert series.metadata["method"] == "adaptive"
-            assert np.array_equal(series.values, exact_corr.values)
+        traj = evolve(liou, rho0, [0.0])
+        assert traj.method == "taylor"
+        assert len(traj.states) == 1
+        assert np.array_equal(traj.final_state.matrix, rho0.matrix)
+        recorded = evolve(liou, rho0, [0.0], observables={"n": number_operator(SMALL, 0)})
+        assert np.array_equal(recorded.expectations["n"], [1.0])
+        assert np.array_equal(recorded.final_state.matrix, rho0.matrix)
+        series = correlation(liou, rho, a.dag(), a, [0.0])
+        assert series.metadata["method"] == "taylor"
+        assert np.array_equal(series.values, [np.trace(a.dag().matrix @ (a.matrix @ rho.matrix))])
 
-    def test_above_dense_limit_takes_adaptive(self, monkeypatch):
+    def test_above_dense_limit_takes_taylor(self, monkeypatch):
         liou, rho0 = self.build()
         monkeypatch.setattr(dynamics, "DENSE_MAX_SIDE", SMALL.total_dim**2 - 1)
         traj = evolve(liou, rho0, np.linspace(0.0, 20.0, 5))
-        assert traj.method == "adaptive"
+        assert traj.method == "taylor"
 
     def test_delay_scans_ignore_dense_limit(self, monkeypatch):
-        # correlations keep exponential stepping above the limit: a long
-        # spectrum window integrates several times slower adaptively
+        # correlations keep the dense propagator above the limit: a long
+        # spectrum window takes several times longer on the Taylor kernel
         space, liou = thermal_cavity(kappa=0.05)
         rho = steady_state(liou)
         a = annihilation(space, 0)
@@ -777,8 +782,8 @@ class TestOneThreadRule:
             liou = build_liouvillian(h, diss)
             rho = steady_state(liou)
             seen.clear()
-            assert evolve(liou, rho0, times, method="expm").propagation_side == side
-            series = correlation(liou, rho, a.dag(), a, times, method="expm")
+            assert evolve(liou, rho0, times).propagation_side == side
+            series = correlation(liou, rho, a.dag(), a, times)
             assert series.metadata["propagation_side"] == side
             names = [name for name, _ in seen]
             assert names.count("expm") == 2 and "product" in names
@@ -998,26 +1003,34 @@ class TestCorrelation:
         assert np.all(np.diff(mags) <= 1e-12)
 
     def test_matches_exponential_oracle(self):
+        # the uniform grid on the dense kernel, a non-uniform part of it on
+        # the Taylor kernel, both against one-shot complex expm(L tau)
         space, liou = thermal_cavity(kappa=0.05)
         rho = steady_state(liou)
         a = annihilation(space, 0)
         taus = np.linspace(0.0, 100.0, 26)
-        series = correlation(liou, rho, a.dag(), a, taus, method="adaptive")
-        assert series.metadata["method"] == "adaptive"
         seed = a.matrix @ rho.matrix
-        for tau, value in zip(taus, series.values):
-            prop = scipy.linalg.expm(liou.matrix * tau)
-            oracle = np.trace(
-                a.dag().matrix @ (prop @ seed.ravel(order="F")).reshape((5, 5), order="F")
+        oracle = np.array([
+            np.trace(
+                a.dag().matrix
+                @ (scipy.linalg.expm(liou.matrix * tau) @ seed.ravel(order="F")).reshape(
+                    (5, 5), order="F"
+                )
             )
-            assert abs(value - oracle) <= 1e-6
+            for tau in taus
+        ])
+        series = correlation(liou, rho, a.dag(), a, taus)
+        assert series.metadata["method"] == "expm"
+        assert np.abs(series.values - oracle).max() <= 1e-12 * np.abs(oracle).max()
+        part = [0, 1, 2, 5, 11, 25]
+        stepped = correlation(liou, rho, a.dag(), a, taus[part])
+        assert stepped.metadata["method"] == "taylor"
+        assert np.abs(stepped.values - oracle[part]).max() <= 1e-12 * np.abs(oracle).max()
         # phase convention: C(tau) rotates as exp(+i omega tau)
         tau1 = taus[1]
         assert abs(np.angle(series.values[1] * np.exp(-1j * 1.0 * tau1))) < 0.05
 
     def test_linear_in_both_operators(self, rng):
-        # checked on the exponential path: adaptive stepping is state
-        # dependent, so its discretization error is not linear in the seed
         space, liou = thermal_cavity(kappa=0.05)
         rho = steady_state(liou)
         taus = np.linspace(0.0, 20.0, 6)
@@ -1025,7 +1038,7 @@ class TestCorrelation:
         alpha, beta = 0.7 - 0.2j, -1.3 + 0.4j
 
         def corr(a_op, b_op):
-            return correlation(liou, rho, a_op, b_op, taus, method="expm").values
+            return correlation(liou, rho, a_op, b_op, taus).values
 
         combined_a = corr(alpha * ops[0] + beta * ops[1], ops[2])
         split_a = alpha * corr(ops[0], ops[2]) + beta * corr(ops[1], ops[2])
@@ -1036,14 +1049,14 @@ class TestCorrelation:
         assert np.abs(combined_b - split_b).max() <= 1e-10
 
     def test_zero_seed_stays_zero(self):
-        # B = 0: an empty invariant block on both paths
+        # B = 0: an empty invariant block on both kernels
         space, liou = thermal_cavity(kappa=0.05)
         rho = steady_state(liou)
         a = annihilation(space, 0)
-        taus = np.linspace(0.0, 20.0, 6)
-        for method in ("adaptive", "expm"):
-            series = correlation(liou, rho, a.dag(), 0.0 * a, taus, method=method)
-            assert series.metadata["method"] == method
+        grids = (np.linspace(0.0, 20.0, 6), np.array([0.0, 1.0, 3.0, 20.0]))
+        for kernel, taus in zip(KERNELS, grids):
+            series = correlation(liou, rho, a.dag(), 0.0 * a, taus)
+            assert series.metadata["method"] == kernel
             assert series.metadata["propagation_side"] == 0
             assert np.array_equal(series.values, np.zeros(taus.size))
 
