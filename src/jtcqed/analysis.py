@@ -16,7 +16,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from . import _blas
 from .dynamics import (
@@ -317,8 +316,35 @@ def spectrum_peaks(series: SpectrumSeries, min_relative_prominence: float = 0.01
     span = values.max() - values.min()
     if span <= 0:
         return []
-    idx, _ = scipy.signal.find_peaks(values, prominence=min_relative_prominence * span)
+    idx = _prominent_peaks(values, min_relative_prominence * span)
     return [(float(series.omegas[i]), float(values[i])) for i in idx]
+
+
+def _prominent_peaks(x: np.ndarray, threshold: float) -> np.ndarray:
+    """Indices of the interior local maxima of ``x`` whose prominence is at
+    least ``threshold``: ``scipy.signal.find_peaks(x, prominence=threshold)``
+    without loading ``scipy.signal``.
+
+    A flat top counts once, at ``(left + right) // 2``. Each side's base is the
+    minimum between the peak and the nearest strictly higher sample on that
+    side, or the array's end; the prominence is the height above the higher
+    base. It is at most the height above ``x.min()``, so only maxima that high
+    are scanned for their bases.
+    """
+    diffs = np.diff(x)
+    steps = np.flatnonzero(diffs)  # x[j + 1] != x[j]
+    rises = diffs[steps] > 0
+    tops = rises[:-1] & ~rises[1:]  # a rise, equal samples, then a fall
+    peaks = (steps[:-1][tops] + 1 + steps[1:][tops]) // 2
+    kept = []
+    for p in peaks[x[peaks] - x.min() >= threshold]:
+        higher = np.flatnonzero(x > x[p])
+        i = np.searchsorted(higher, p)
+        lo = higher[i - 1] + 1 if i > 0 else 0
+        hi = higher[i] if i < higher.size else x.size
+        if x[p] - max(x[lo:p + 1].min(), x[p:hi].min()) >= threshold:
+            kept.append(p)
+    return np.array(kept, dtype=np.intp)
 
 
 def g2(

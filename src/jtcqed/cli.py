@@ -10,7 +10,14 @@ Every run writes its CSV plus a manifest echoing the resolved configuration,
 the library version, wall-clock time and per-task provenance notes, among
 them a warning where the Hamiltonian is unbounded below and the config keys
 the task never reads. CSV bodies are byte-identical across repeated runs of
-the same configuration; manifests differ only in their timing fields.
+the same configuration; manifests differ only in their timing fields and in
+``engine_reused``.
+
+Consecutive Lindblad runs of one process with the same [model] and
+[dissipation] values share one engine (the Liouvillian with its cached
+generator, blocks and last propagator): a fig4 preset's g2 run steps on the
+``expm`` its imbalance run built. Every Lindblad manifest notes whether its
+run reused the engine; the CSV bytes do not depend on it.
 
 Exit codes: 0 success, 2 usage/config error (an unusable output directory
 included, reported before any computation), 3 numerical failure.
@@ -41,7 +48,7 @@ from .config import (
     load_config,
     parse_initial_state,
 )
-from .dynamics import build_liouvillian, steady_state
+from .dynamics import Liouvillian, build_liouvillian, steady_state
 from .errors import JTCQEDError
 from .hilbert import DensityMatrix, SpaceSpec, basis_ket
 from .model import build_dimensionless_hamiltonian, unbounded_below
@@ -73,13 +80,12 @@ def _write_atomic(path: str, text: str):
 
 
 def _write_csv(path: str, header: list[str], rows, precision: int):
-    # One %-format per row; Python writes every NaN as "nan", which no other
-    # cell contains, and a NaN cell is left empty.
-    table = np.array(rows, dtype=float).reshape(len(rows), len(header))
-    line = ",".join([f"%.{precision - 1}e"] * len(header))
-    lines = [",".join(header)]
-    lines.extend((line % tuple(row)).replace("nan", "") for row in table.tolist())
-    _write_atomic(path, "\n".join(lines) + "\n")
+    # One %-format for the whole body; Python writes every NaN as "nan", which
+    # no other cell contains, and a NaN cell is left empty.
+    cells = np.asarray(rows, dtype=float).ravel().tolist()
+    line = ",".join([f"%.{precision - 1}e"] * len(header)) + "\n"
+    body = (line * len(rows)) % tuple(cells)
+    _write_atomic(path, ",".join(header) + "\n" + body.replace("nan", ""))
 
 
 def _write_manifest(csv_path: str, cfg: RunConfig, notes: dict, elapsed: float):
@@ -104,16 +110,34 @@ def _initial_state(cfg: RunConfig, space: SpaceSpec) -> DensityMatrix:
     return DensityMatrix.from_pure(space, ket)
 
 
+# (key, Liouvillian) of the last Lindblad run. It lives at module level
+# because a preset, and any caller, runs `execute` once per config.
+_engine: tuple[str, Liouvillian] | None = None
+
+
 def _liouvillian(cfg: RunConfig, space: SpaceSpec):
+    """The run's Liouvillian and whether it is the last run's engine, reused
+    when every value it is built from is the same. The key is their repr,
+    exact to the bit (-0.0 and 0.0 differ)."""
+    global _engine
+    key = repr((
+        cfg.fock_dims, cfg.k, cfg.delta, cfg.include_quadratic, cfg.j_override, cfg.dissipation,
+    ))
+    held = _engine
+    if held is not None and held[0] == key:
+        return held[1], True
+    _engine = held = None  # release the old engine before building
     h = build_dimensionless_hamiltonian(
         space, cfg.k, cfg.delta,
         include_quadratic=cfg.include_quadratic,
         j_override=cfg.j_override,
     )
-    return build_liouvillian(h, cfg.dissipation)
+    liouvillian = build_liouvillian(h, cfg.dissipation)
+    _engine = (key, liouvillian)
+    return liouvillian, False
 
 
-def _run_eigenscan(cfg: RunConfig) -> tuple[list[str], list, dict]:
+def _run_eigenscan(cfg: RunConfig) -> tuple[list[str], np.ndarray, dict]:
     table = eigen_scan(
         cfg.k,
         np.sort(cfg.delta_grid),
@@ -122,14 +146,14 @@ def _run_eigenscan(cfg: RunConfig) -> tuple[list[str], list, dict]:
         include_quadratic=cfg.include_quadratic,
         j_override=cfg.j_override,
     )
-    rows = [[d, *e] for d, e in zip(table.deltas, table.energies)]
+    rows = np.column_stack([table.deltas, table.energies])
     header = ["delta"] + [f"E{i + 1}" for i in range(EIGEN_COUNT)]
     return header, rows, {"grid_points": int(table.deltas.size)}
 
 
-def _run_spectrum(cfg: RunConfig) -> tuple[list[str], list, dict]:
+def _run_spectrum(cfg: RunConfig) -> tuple[list[str], np.ndarray, dict]:
     space = _space(cfg)
-    liouvillian = _liouvillian(cfg, space)
+    liouvillian, reused = _liouvillian(cfg, space)
     rho_ss = steady_state(liouvillian)
     series = power_spectrum(
         liouvillian,
@@ -139,7 +163,7 @@ def _run_spectrum(cfg: RunConfig) -> tuple[list[str], list, dict]:
         n_samples=cfg.n_samples,
         ordering=cfg.correlation_ordering,
     )
-    rows = list(zip(series.omegas, series.values))
+    rows = np.column_stack([series.omegas, series.values])
     peaks = spectrum_peaks(series, min_relative_prominence=0.01)
     notes = {
         "warnings": list(series.warnings),
@@ -148,24 +172,25 @@ def _run_spectrum(cfg: RunConfig) -> tuple[list[str], list, dict]:
         "propagation_side": series.metadata["propagation_side"],
         "frequency_resolution": series.metadata["frequency_resolution"],
         "peaks": [{"omega": w, "power": p} for w, p in peaks],
+        "engine_reused": reused,
     }
     return ["omega", "power"], rows, notes
 
 
-def _run_g2(cfg: RunConfig) -> tuple[list[str], list, dict]:
+def _run_g2(cfg: RunConfig) -> tuple[list[str], np.ndarray, dict]:
     # The coherence pipelines are transient: the reference state is the
     # configured initial state (t* = 0), so g2(0) reflects its statistics
     # (a one-photon start reads exactly zero). A stationary g2 passes
     # steady_state(liouvillian) to the library's g2 instead.
     space = _space(cfg)
-    liouvillian = _liouvillian(cfg, space)
+    liouvillian, reused = _liouvillian(cfg, space)
     rho0 = _initial_state(cfg, space)
     taus = np.asarray(cfg.times, dtype=float)
     series_r, series_q = (
         g2(liouvillian, rho0, taus, target=target, normalization=cfg.g2_normalization)
         for target in ("resonator", "qubit")
     )
-    rows = list(zip(taus, series_r.values, series_q.values))
+    rows = np.column_stack([taus, series_r.values, series_q.values])
     notes = {
         "t_star": 0.0,
         "reference_policy": "initial_state",
@@ -175,17 +200,18 @@ def _run_g2(cfg: RunConfig) -> tuple[list[str], list, dict]:
         "reference_occupation_qubit": series_q.metadata["reference_occupation"],
         "propagation_side_resonator": series_r.metadata["propagation_side"],
         "propagation_side_qubit": series_q.metadata["propagation_side"],
+        "engine_reused": reused,
     }
     return ["tau", "g2_resonator", "g2_qubit"], rows, notes
 
 
-def _run_imbalance(cfg: RunConfig) -> tuple[list[str], list, dict]:
+def _run_imbalance(cfg: RunConfig) -> tuple[list[str], np.ndarray, dict]:
     space = _space(cfg)
-    liouvillian = _liouvillian(cfg, space)
+    liouvillian, reused = _liouvillian(cfg, space)
     rho0 = _initial_state(cfg, space)
     times = np.asarray(cfg.times, dtype=float)
     series = imbalance(liouvillian, rho0, times)
-    rows = list(zip(series.times, series.n1, series.n2, series.z))
+    rows = np.column_stack([series.times, series.n1, series.n2, series.z])
     tail = series.z[int(0.8 * series.z.size):]
     tail = tail[np.isfinite(tail)]
     notes = {
@@ -196,6 +222,7 @@ def _run_imbalance(cfg: RunConfig) -> tuple[list[str], list, dict]:
         "z_long_mean": float(tail.mean()) if tail.size else None,
         "z_long_min": float(tail.min()) if tail.size else None,
         "z_long_max": float(tail.max()) if tail.size else None,
+        "engine_reused": reused,
     }
     return ["t", "n1", "n2", "z"], rows, notes
 

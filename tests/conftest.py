@@ -9,7 +9,16 @@ import numpy as np
 import pytest
 
 import jtcqed
-from jtcqed import DensityMatrix, QOperator, SpaceSpec, dynamics
+from jtcqed import DensityMatrix, QOperator, SpaceSpec, cli, dynamics
+
+
+@pytest.fixture(autouse=True)
+def cold_engine():
+    """Every test starts with ``cli``'s engine slot empty, so none sees an
+    engine an earlier test left there, and none holds one after it ends."""
+    cli._engine = None
+    yield
+    cli._engine = None
 
 
 @pytest.fixture

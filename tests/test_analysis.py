@@ -220,6 +220,34 @@ class TestPowerSpectrum:
             power_spectrum(liou, rho, tau_max=100.0, n_samples=1000)
 
 
+class TestPeakFinder:
+    @staticmethod
+    def assert_matches_scipy(x, threshold):
+        from scipy.signal import find_peaks
+
+        expected, _ = find_peaks(x, prominence=threshold)
+        assert analysis._prominent_peaks(x, threshold).tolist() == expected.tolist()
+
+    def test_matches_scipy_on_ties_and_plateaus(self, rng):
+        # few distinct levels, some samples repeated: equal neighbours, flat
+        # tops of even and odd width, plateaus at either end
+        for _ in range(300):
+            x = rng.integers(0, rng.integers(1, 6), rng.integers(1, 40)).astype(float)
+            x = np.repeat(x, rng.integers(1, 4, x.size))
+            for threshold in (0.0, 0.5, 1.0, 2.0, 3.0 * rng.random()):
+                self.assert_matches_scipy(x, threshold)
+
+    def test_matches_scipy_on_a_spectrum(self):
+        # the linear model at J = 0.5 splits the cavity line
+        h = build_dimensionless_hamiltonian(SMALL, 0.05, 0.0, include_quadratic=False, j_override=0.5)
+        liou = build_liouvillian(h, DissipationParams(kappa1=0.01, kappa2=0.01, gamma=0.01))
+        series = power_spectrum(liou, steady_state(liou), tau_max=1000.0, n_samples=4096)
+        span = np.ptp(series.values)
+        for fraction in (0.001, 0.01, 0.2):
+            self.assert_matches_scipy(series.values, fraction * span)
+        assert len(spectrum_peaks(series, min_relative_prominence=0.01)) >= 2
+
+
 class TestG2:
     def test_coherent_state_is_poissonian(self):
         # no dynamics at all: the statistics are those of the state itself

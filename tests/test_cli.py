@@ -1,4 +1,5 @@
 import configparser
+import dataclasses
 import importlib.util
 import json
 import math
@@ -628,6 +629,68 @@ class TestTaskRuns:
         assert manifest["config"]["model"]["fock_dims"] == [2, 2]
 
 
+# A fig4-shaped pair at fock_dims 3, 3: the same model, dissipation and
+# initial state, both grids stepping by 5.
+FIG4_MODEL = {"k": 0.1 / math.sqrt(2.0), "delta": 0.01, "fock_dims": "3, 3"}
+FIG4_DISSIPATION = {"kappa1": 0.001, "kappa2": 0.001, "gamma": 0.001, "gamma_phi": 0.01, "n_th": 0.15}
+
+
+def fig4_config(task, out_dir, model=FIG4_MODEL):
+    return config_from_mapping({
+        "run": {"task": task},
+        "model": dict(model),
+        "dissipation": dict(FIG4_DISSIPATION),
+        "numerics": {"times": "0:100:21" if task == "imbalance" else "0:50:11", "initial_state": "1,0,e"},
+        "output": {"path": str(out_dir / f"{task}.csv")},
+    })
+
+
+class TestSharedEngine:
+    def test_g2_run_reuses_the_imbalance_engine(self, tmp_path, monkeypatch):
+        calls = {"build": 0, "expm": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "build_liouvillian", counted("build", cli.build_liouvillian))
+        monkeypatch.setattr(scipy.linalg, "expm", counted("expm", scipy.linalg.expm))
+        shared, cold = tmp_path / "shared", tmp_path / "cold"
+        reused = []
+        for task in ("imbalance", "g2"):
+            csv = cli.execute(fig4_config(task, shared))
+            manifest = json.loads(Path(csv).with_suffix(".manifest.json").read_text())
+            reused.append(manifest["notes"]["engine_reused"])
+        assert calls == {"build": 1, "expm": 1}
+        assert reused == [False, True]
+        for task in ("imbalance", "g2"):
+            cli._engine = None
+            cli.execute(fig4_config(task, cold))
+            assert (shared / f"{task}.csv").read_bytes() == (cold / f"{task}.csv").read_bytes()
+        assert calls == {"build": 3, "expm": 3}
+
+    @pytest.mark.parametrize("field, value", [
+        ("k", 0.05), ("delta", 0.02), ("j_override", 0.2), ("include_quadratic", False),
+        ("fock_dims", (3, 2)), ("kappa1", 0.002), ("kappa2", 0.002), ("gamma", 0.002),
+        ("gamma_phi", 0.02), ("n_th", 0.1),
+    ])
+    def test_any_key_change_rebuilds(self, tmp_path, field, value):
+        cfg = fig4_config("imbalance", tmp_path, model=dict(FIG4_MODEL, fock_dims="2, 2"))
+        first, reused = cli._liouvillian(cfg, cli._space(cfg))
+        assert not reused
+        assert cli._liouvillian(cfg, cli._space(cfg)) == (first, True)
+        if field in cli._DISSIPATION:
+            dissipation = dataclasses.replace(cfg.dissipation, **{field: value})
+            changed = dataclasses.replace(cfg, dissipation=dissipation)
+        else:
+            changed = dataclasses.replace(cfg, **{field: value})
+        engine, reused = cli._liouvillian(changed, cli._space(changed))
+        assert not reused and engine is not first
+        assert cli._engine[1] is engine
+
+
 def _fmt(value: float, precision: int) -> str:
     # the per-cell reference: NaN cells empty, every other one "%.{p-1}e"
     return "" if math.isnan(value) else f"{value:.{precision - 1}e}"
@@ -740,7 +803,7 @@ at_import = loaded()
 threads = threading.active_count()
 
 # the Taylor kernel on a non-uniform grid against the dense kernel at the
-# same times; scipy.signal, used below, loads scipy.integrate itself
+# same times
 space = jtcqed.SpaceSpec((2, 2), 1)
 h = jtcqed.build_dimensionless_hamiltonian(space, 0.05, 0.0)
 liou = jtcqed.build_liouvillian(h, jtcqed.DissipationParams())
@@ -754,11 +817,12 @@ integrate = "scipy.integrate" in sys.modules
 omegas = np.linspace(-1.0, 1.0, 201)
 values = np.exp(-(((omegas - 0.5) / 0.05) ** 2)) + 0.5 * np.exp(-(((omegas + 0.3) / 0.05) ** 2))
 peaks = jtcqed.spectrum_peaks(jtcqed.SpectrumSeries(omegas, values))
+signal = "scipy.signal" in sys.modules
 
 print(json.dumps({
     "loaded": at_import, "lookups": lookups, "threads": threads,
     "peaks": peaks, "methods": [stepped.method, exact.method], "gap": float(gap),
-    "integrate": integrate,
+    "integrate": integrate, "signal": signal,
 }))
 """
 
@@ -805,10 +869,10 @@ print(json.dumps({
 
 
 class TestColdStart:
-    def test_signal_and_integrate_load_on_first_use(self):
+    def test_submodules_load_on_first_use(self):
         # A fresh interpreter: importing the package loads no SciPy submodule,
-        # every one it uses still works on first use, and no propagation
-        # loads scipy.integrate.
+        # every one it uses still works on first use, no propagation loads
+        # scipy.integrate and the peak search loads no scipy.signal.
         out = run_fresh(COLD_START)
         assert out["loaded"] == []
         # nor look up the BLAS libraries or start a thread
@@ -819,6 +883,7 @@ class TestColdStart:
         assert out["methods"] == ["taylor", "expm"]
         assert out["gap"] <= 1e-12
         assert not out["integrate"]
+        assert not out["signal"]
 
     @pytest.mark.skipif(not bundled_openblas(), reason="NumPy is not built on OpenBLAS on Linux")
     @pytest.mark.parametrize("first", ["steady_state", "evolve"])
