@@ -19,13 +19,16 @@ generator, blocks and last propagator): a fig4 preset's g2 run steps on the
 ``expm`` its imbalance run built. Every Lindblad manifest notes whether its
 run reused the engine; the CSV bytes do not depend on it.
 
-Exit codes: 0 success, 2 usage/config error (an unusable output directory
-included, reported before any computation), 3 numerical failure.
+Exit codes: 0 success, 2 usage/config error (a config file that is not valid
+INI or not UTF-8, and an output path that names a directory or lies in an
+unusable one, included; all reported before any computation), 3 numerical
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -61,8 +64,11 @@ EIGEN_COUNT = 5  # fixed by the eigenscan CSV schema: delta,E1..E5
 
 
 def _output_directory(csv_path: str):
-    """Create the CSV's directory, or raise ConfigError if it cannot be used,
-    so an unusable path is reported before the run computes anything."""
+    """Create the CSV's directory, or raise ConfigError if it cannot be used
+    or the path names a directory, so an unusable path is reported before the
+    run computes anything."""
+    if not os.path.basename(csv_path) or os.path.isdir(csv_path):
+        raise ConfigError(f"output path {csv_path!r} names a directory, not a CSV file")
     directory = os.path.dirname(os.path.abspath(csv_path))
     try:
         os.makedirs(directory, exist_ok=True)
@@ -74,9 +80,14 @@ def _output_directory(csv_path: str):
 
 def _write_atomic(path: str, text: str):
     tmp = path + ".tmp"
-    with open(tmp, "w") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _write_csv(path: str, header: list[str], rows, precision: int):
@@ -239,29 +250,24 @@ def _unbounded_warnings(cfg: RunConfig) -> list[str]:
     ] if flagged.any() else []
 
 
-# Each runner and the [dissipation]/[numerics] keys it reads (all read [model]).
-# Other keys set are listed as unused in the manifest, not rejected: presets
-# set them on eigenscans.
-_DISSIPATION = ("kappa1", "kappa2", "gamma", "gamma_phi", "n_th")
 _RUNNERS = {
-    "eigenscan": (_run_eigenscan, ()),
-    "spectrum": (_run_spectrum, (*_DISSIPATION, "tau_max", "n_samples", "correlation_ordering")),
-    "g2": (_run_g2, (*_DISSIPATION, "times", "g2_normalization", "initial_state")),
-    "imbalance": (_run_imbalance, (*_DISSIPATION, "times", "initial_state")),
+    "eigenscan": _run_eigenscan,
+    "spectrum": _run_spectrum,
+    "g2": _run_g2,
+    "imbalance": _run_imbalance,
 }
 
 
 def execute(cfg: RunConfig, out_dir: str | None = None) -> str:
     """Run one configured task; returns the CSV path."""
     start = time.perf_counter()
-    csv_path = cfg.output_path
+    csv_path = cfg.path
     if out_dir is not None and not os.path.isabs(csv_path):
         csv_path = os.path.join(out_dir, csv_path)
     _output_directory(csv_path)
-    run, reads = _RUNNERS[cfg.task]
-    header, rows, notes = run(cfg)
+    header, rows, notes = _RUNNERS[cfg.task](cfg)
     notes.setdefault("warnings", []).extend(_unbounded_warnings(cfg))
-    notes["unused_keys"] = [key for key in cfg.given_keys if key not in reads]
+    notes["unused_keys"] = list(cfg.unused_keys)
     _write_csv(csv_path, header, rows, cfg.precision)
     _write_manifest(csv_path, cfg, notes, time.perf_counter() - start)
     return csv_path

@@ -1,6 +1,6 @@
 """Run configuration: INI-style parsing, validation and resolution.
 
-A config file has four nested sections mirroring the run layout::
+A config file has five sections mirroring the run layout::
 
     [run]
     task = eigenscan            ; eigenscan | spectrum | g2 | imbalance
@@ -31,20 +31,24 @@ A config file has four nested sections mirroring the run layout::
     path = out/run.csv
     precision = 12
 
-Unknown sections or keys are usage errors, as are missing required fields and
-values the run could not use (a non-finite ``delta``, ``delta_grid``,
-``j_override``, ``tau_max`` or dissipation rate, a non-power-of-two
-``n_samples``, a ``times`` grid that does
-not start at 0 and increase strictly, an initial state outside the
-truncation). Known keys that the configured run never reads are accepted and
-listed as ``unused_keys`` in the run's manifest.
+``_KEYS`` is the one list of config keys: for each key its section, its
+parser, its default and the tasks that read it. Unknown sections or keys are
+usage errors, as are missing required keys and values a parser refuses (a
+non-finite ``delta``, ``delta_grid``, ``j_override`` or ``tau_max``, a
+non-power-of-two ``n_samples``, a ``times`` grid that does not start at 0
+and increase strictly), and the cross-field faults checked after the table:
+``delta`` beside ``delta_grid``, a task without the grid or the ``times`` it
+needs, an initial state outside the truncation, a non-finite or negative
+dissipation rate. Known keys that the configured task never reads are
+accepted and listed as ``unused_keys`` in the run's manifest.
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import math
-from dataclasses import dataclass
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -59,24 +63,117 @@ __all__ = [
 ]
 
 TASKS = ("eigenscan", "spectrum", "g2", "imbalance")
-
-_MODEL_KEYS = {
-    "k", "delta", "delta_grid", "j_override", "include_quadratic", "fock_dims",
-}
-_DISSIPATION_KEYS = {"kappa1", "kappa2", "gamma", "gamma_phi", "n_th"}
-_NUMERICS_KEYS = {
-    "tau_max", "n_samples", "times",
-    "correlation_ordering", "g2_normalization", "initial_state",
-}
-_OUTPUT_KEYS = {"path", "precision"}
+_LINDBLAD = ("spectrum", "g2", "imbalance")
+_TRANSIENT = ("g2", "imbalance")
+_REQUIRED = object()  # the default of a key a config must set
 
 
 class ConfigError(ValueError):
     """The configuration is malformed; maps to the usage exit code."""
 
 
-@dataclass
+def _checked(parse: Callable, ok: Callable, message: str) -> Callable:
+    """``parse`` followed by the test ``ok``; a value failing it is a ValueError."""
+    def checked(value):
+        parsed = parse(value)
+        if not ok(parsed):
+            raise ValueError(f"{message}, got {value!r}")
+        return parsed
+    return checked
+
+
+def _one_of(*options: str) -> Callable:
+    return _checked(str, options.__contains__, f"must be one of {options}")
+
+
+def _parse_grid(value) -> np.ndarray:
+    """Either 'start:stop:count' (inclusive linspace), a comma list or a sequence."""
+    if not isinstance(value, str):
+        return np.asarray(value, dtype=float)
+    if ":" in value:
+        parts = value.split(":")
+        if len(parts) != 3:
+            raise ValueError("grid shorthand must be start:stop:count")
+        return np.linspace(float(parts[0]), float(parts[1]), int(parts[2]))
+    return np.array([float(v) for v in value.split(",") if v.strip()])
+
+
+def _int_tuple(value) -> tuple[int, ...]:
+    if isinstance(value, str):
+        value = [v for v in value.split(",") if v.strip()]
+    return tuple(int(v) for v in value)
+
+
+def _bool(value) -> bool:
+    if isinstance(value, bool):
+        return value
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[value.strip().lower()]
+    except (AttributeError, KeyError):
+        raise ValueError(f"must be a boolean, got {value!r}") from None
+
+
+_finite = _checked(float, math.isfinite, "must be finite")
+_grid = _checked(
+    _parse_grid,
+    lambda grid: grid.ndim == 1 and grid.size > 0 and bool(np.isfinite(grid).all()),
+    "must be a nonempty list of finite numbers",
+)
+
+
+class _Key(NamedTuple):
+    section: str
+    parse: Callable[[Any], Any]
+    default: Any  # the resolved value of an unset key, or _REQUIRED
+    readers: tuple[str, ...]  # the tasks whose runs read the key
+
+
+_KEYS: dict[str, _Key] = {
+    "task": _Key("run", _one_of(*TASKS), _REQUIRED, TASKS),
+    "k": _Key("model", _finite, _REQUIRED, TASKS),
+    "delta": _Key("model", _finite, None, _LINDBLAD),
+    "delta_grid": _Key("model", _grid, None, ("eigenscan",)),
+    "j_override": _Key("model", _finite, None, TASKS),
+    "include_quadratic": _Key("model", _bool, True, TASKS),
+    "fock_dims": _Key(
+        "model",
+        _checked(_int_tuple, lambda dims: len(dims) == 2 and min(dims) >= 2,
+                 "must hold two truncations, each >= 2"),
+        _REQUIRED, TASKS,
+    ),
+    # DissipationParams validates the rates and holds their defaults
+    **{
+        field.name: _Key("dissipation", float, field.default, _LINDBLAD)
+        for field in dataclasses.fields(DissipationParams)
+    },
+    "tau_max": _Key(
+        "numerics",
+        _checked(float, lambda t: math.isfinite(t) and t > 0, "must be positive and finite"),
+        1000.0, ("spectrum",),
+    ),
+    "n_samples": _Key(
+        "numerics",
+        _checked(int, lambda n: n >= 4 and not n & (n - 1), "must be a power of two (>= 4)"),
+        4096, ("spectrum",),
+    ),
+    "times": _Key("numerics", lambda value: check_time_grid(_grid(value)), None, _TRANSIENT),
+    "correlation_ordering": _Key("numerics", _one_of("emission", "as_printed"), "emission", ("spectrum",)),
+    "g2_normalization": _Key("numerics", _one_of("standard", "first_order"), "standard", ("g2",)),
+    "initial_state": _Key("numerics", str, "1,0,e", _TRANSIENT),
+    "path": _Key("output", str, _REQUIRED, TASKS),
+    "precision": _Key(
+        "output",
+        _checked(int, lambda p: 1 <= p <= 17, "must be between 1 and 17 significant digits"),
+        12, TASKS,
+    ),
+}
+_RATES = tuple(key for key, spec in _KEYS.items() if spec.section == "dissipation")
+
+
+@dataclasses.dataclass
 class RunConfig:
+    """A resolved run: one field per ``_KEYS`` key, in the table's order."""
+
     task: str
     k: float
     delta: float | None
@@ -84,116 +181,42 @@ class RunConfig:
     j_override: float | None
     include_quadratic: bool
     fock_dims: tuple[int, ...]
-    dissipation: DissipationParams
+    kappa1: float
+    kappa2: float
+    gamma: float
+    gamma_phi: float
+    n_th: float
     tau_max: float
     n_samples: int
     times: np.ndarray | None
     correlation_ordering: str
     g2_normalization: str
     initial_state: str
-    output_path: str
+    path: str
     precision: int
-    # the [dissipation] and [numerics] keys the config sets; every task reads
-    # all of [model], and cli.execute reports the rest its task never reads
-    given_keys: tuple[str, ...] = ()
+    # the keys the config sets that its task never reads, sorted
+    unused_keys: tuple[str, ...] = ()
+
+    @property
+    def dissipation(self) -> DissipationParams:
+        return DissipationParams(**{name: getattr(self, name) for name in _RATES})
 
     def resolved(self) -> dict:
         """JSON-ready echo of every resolved parameter (for the manifest)."""
-        return {
-            "task": self.task,
-            "model": {
-                "k": self.k,
-                "delta": self.delta,
-                "delta_grid": None if self.delta_grid is None else self.delta_grid.tolist(),
-                "j_override": self.j_override,
-                "include_quadratic": self.include_quadratic,
-                "fock_dims": list(self.fock_dims),
-            },
-            "dissipation": {
-                "kappa1": self.dissipation.kappa1,
-                "kappa2": self.dissipation.kappa2,
-                "gamma": self.dissipation.gamma,
-                "gamma_phi": self.dissipation.gamma_phi,
-                "n_th": self.dissipation.n_th,
-            },
-            "numerics": {
-                "tau_max": self.tau_max,
-                "n_samples": self.n_samples,
-                "times": None if self.times is None else [float(self.times[0]), float(self.times[-1]), int(self.times.size)],
-                "correlation_ordering": self.correlation_ordering,
-                "g2_normalization": self.g2_normalization,
-                "initial_state": self.initial_state,
-            },
-            "output": {"path": self.output_path, "precision": self.precision},
-        }
-
-
-def _parse_grid(text: str, name: str) -> np.ndarray:
-    """Either 'start:stop:count' (inclusive linspace) or a comma list."""
-    text = text.strip()
-    if not text:
-        raise ConfigError(f"{name} must not be empty")
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"{name} grid shorthand must be start:stop:count")
-        try:
-            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise ConfigError(f"bad {name} grid: {exc}") from exc
-        if count < 1:
-            raise ConfigError(f"{name} grid must contain at least one point")
-        return np.linspace(start, stop, count)
-    try:
-        values = np.array([float(v) for v in text.split(",") if v.strip()])
-    except ValueError as exc:
-        raise ConfigError(f"bad {name} list: {exc}") from exc
-    if values.size == 0:
-        raise ConfigError(f"{name} must not be empty")
-    return values
-
-
-def _get(section: dict, key: str, default=None):
-    """The key's value, or ``default`` when it is unset, None or blank."""
-    value = section.get(key)
-    if value is None or isinstance(value, str) and value.strip() == "":
-        return default
-    return value
-
-
-def _as_float(section, key, default=None, required=False):
-    value = _get(section, key, default)
-    if value is None:
-        if required:
-            raise ConfigError(f"missing required key {key!r}")
-        return None
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must be a number, got {value!r}") from exc
-
-
-def _as_int(section, key, default=None):
-    value = _get(section, key, default)
-    if value is None:
-        return None
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must be an integer, got {value!r}") from exc
-
-
-def _as_bool(section, key, default):
-    value = _get(section, key, default)
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, str):
-        lowered = value.strip().lower()
-        if lowered in ("true", "yes", "on", "1"):
-            return True
-        if lowered in ("false", "no", "off", "0"):
-            return False
-    raise ConfigError(f"{key} must be a boolean, got {value!r}")
+        echo = {}
+        for key, spec in _KEYS.items():
+            value = getattr(self, key)
+            if key == "times" and value is not None:
+                value = [float(value[0]), float(value[-1]), int(value.size)]
+            elif isinstance(value, np.ndarray):
+                value = value.tolist()
+            elif isinstance(value, tuple):
+                value = list(value)
+            if spec.section == "run":
+                echo[key] = value
+            else:
+                echo.setdefault(spec.section, {})[key] = value
+        return echo
 
 
 def parse_initial_state(text: str, fock_dims: tuple[int, ...]) -> tuple[int, int, str]:
@@ -212,161 +235,68 @@ def parse_initial_state(text: str, fock_dims: tuple[int, ...]) -> tuple[int, int
 
 
 def config_from_mapping(mapping: dict) -> RunConfig:
-    """Build and validate a RunConfig from a nested dict (sections -> keys)."""
-    known_sections = {"run", "model", "dissipation", "numerics", "output"}
-    unknown = set(mapping) - known_sections
+    """Build and validate a RunConfig from a nested dict (sections -> keys).
+
+    A key set to None or to a blank string is unset: its default applies.
+    """
+    unknown = set(mapping) - {spec.section for spec in _KEYS.values()}
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-
-    run = dict(mapping.get("run") or {})
-    model = dict(mapping.get("model") or {})
-    dissipation = dict(mapping.get("dissipation") or {})
-    numerics = dict(mapping.get("numerics") or {})
-    output = dict(mapping.get("output") or {})
-
-    for section, keys, allowed in (
-        ("run", run, {"task"}),
-        ("model", model, _MODEL_KEYS),
-        ("dissipation", dissipation, _DISSIPATION_KEYS),
-        ("numerics", numerics, _NUMERICS_KEYS),
-        ("output", output, _OUTPUT_KEYS),
-    ):
-        bad = set(keys) - allowed
+    given = {}
+    for section, keys in mapping.items():
+        keys = keys or {}
+        bad = [key for key in keys if key not in _KEYS or _KEYS[key].section != section]
         if bad:
             raise ConfigError(f"unknown keys in [{section}]: {sorted(bad)}")
+        given.update(
+            (key, value) for key, value in keys.items()
+            if value is not None and not (isinstance(value, str) and not value.strip())
+        )
 
-    task = _get(run, "task")
-    if task not in TASKS:
-        raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
+    values = {}
+    for key, spec in _KEYS.items():
+        if key in given:
+            try:
+                values[key] = spec.parse(given[key])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{key}: {exc}") from exc
+        elif spec.default is _REQUIRED:
+            raise ConfigError(f"missing required key {key!r} in [{spec.section}]")
+        else:
+            values[key] = spec.default
 
-    k = _as_float(model, "k", required=True)
-    delta_raw = _get(model, "delta")
-    grid_raw = _get(model, "delta_grid")
-    if delta_raw is not None and grid_raw is not None:
+    task = values["task"]
+    if values["delta"] is not None and values["delta_grid"] is not None:
         raise ConfigError("delta and delta_grid are mutually exclusive")
-    delta = None
-    delta_grid = None
-    if grid_raw is not None:
-        delta_grid = (
-            np.asarray(grid_raw, dtype=float)
-            if not isinstance(grid_raw, str)
-            else _parse_grid(grid_raw, "delta_grid")
-        )
-        if delta_grid.size == 0:
-            raise ConfigError("delta_grid must not be empty")
-        if not np.all(np.isfinite(delta_grid)):
-            raise ConfigError("delta_grid must be finite")
-    elif delta_raw is not None:
-        delta = _as_float(model, "delta")
-        if not math.isfinite(delta):
-            raise ConfigError("delta must be finite")
-    if task == "eigenscan":
-        if delta_grid is None:
-            raise ConfigError("eigenscan requires delta_grid")
-    else:
-        if delta is None:
-            raise ConfigError(f"{task} requires a scalar delta")
+    if task == "eigenscan" and values["delta_grid"] is None:
+        raise ConfigError("eigenscan requires delta_grid")
+    if task != "eigenscan" and values["delta"] is None:
+        raise ConfigError(f"{task} requires a scalar delta")
+    if task in _TRANSIENT and values["times"] is None:
+        raise ConfigError(f"{task} requires a times grid")
+    parse_initial_state(values["initial_state"], values["fock_dims"])
 
-    fock_raw = _get(model, "fock_dims")
-    if fock_raw is None:
-        raise ConfigError("missing required key 'fock_dims'")
-    if isinstance(fock_raw, str):
-        try:
-            fock_dims = tuple(int(v) for v in fock_raw.split(",") if v.strip())
-        except ValueError as exc:
-            raise ConfigError(f"bad fock_dims: {exc}") from exc
-    else:
-        fock_dims = tuple(int(v) for v in fock_raw)
-    if len(fock_dims) != 2 or any(d < 2 for d in fock_dims):
-        raise ConfigError("fock_dims must hold two truncations, each >= 2")
-
-    j_override = _as_float(model, "j_override")
-    if j_override is not None and not math.isfinite(j_override):
-        raise ConfigError("j_override must be finite")
-    include_quadratic = _as_bool(model, "include_quadratic", True)
-
+    cfg = RunConfig(
+        **values,
+        unused_keys=tuple(sorted(key for key in given if task not in _KEYS[key].readers)),
+    )
     try:
-        diss = DissipationParams(
-            kappa1=_as_float(dissipation, "kappa1", 0.001),
-            kappa2=_as_float(dissipation, "kappa2", 0.001),
-            gamma=_as_float(dissipation, "gamma", 0.001),
-            gamma_phi=_as_float(dissipation, "gamma_phi", 0.01),
-            n_th=_as_float(dissipation, "n_th", 0.15),
-        )
+        cfg.dissipation  # DissipationParams validates the rates
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    tau_max = _as_float(numerics, "tau_max", 1000.0)
-    n_samples = _as_int(numerics, "n_samples", 4096)
-    if n_samples < 4 or n_samples & (n_samples - 1):
-        raise ConfigError("n_samples must be a power of two (>= 4)")
-    times_raw = _get(numerics, "times")
-    times = None
-    if times_raw is not None:
-        times = (
-            np.asarray(times_raw, dtype=float)
-            if not isinstance(times_raw, str)
-            else _parse_grid(times_raw, "times")
-        )
-        try:
-            times = check_time_grid(times)
-        except ValueError as exc:
-            raise ConfigError(f"times: {exc}") from exc
-    if task in ("imbalance", "g2") and times is None:
-        raise ConfigError(f"{task} requires a times grid")
-
-    ordering = _get(numerics, "correlation_ordering", "emission")
-    if ordering not in ("emission", "as_printed"):
-        raise ConfigError("correlation_ordering must be emission or as_printed")
-    g2_norm = _get(numerics, "g2_normalization", "standard")
-    if g2_norm not in ("standard", "first_order"):
-        raise ConfigError("g2_normalization must be standard or first_order")
-    initial_state = _get(numerics, "initial_state", "1,0,e")
-    parse_initial_state(initial_state, fock_dims)
-
-    path = _get(output, "path")
-    if not path:
-        raise ConfigError("missing required key 'path' in [output]")
-    precision = _as_int(output, "precision", 12)
-    if precision < 1 or precision > 17:
-        raise ConfigError("precision must be between 1 and 17 significant digits")
-
-    if not (math.isfinite(tau_max) and tau_max > 0):
-        raise ConfigError("tau_max must be positive and finite")
-    if not math.isfinite(k):
-        raise ConfigError("k must be finite")
-
-    return RunConfig(
-        task=task,
-        k=k,
-        delta=delta,
-        delta_grid=delta_grid,
-        j_override=j_override,
-        include_quadratic=include_quadratic,
-        fock_dims=fock_dims,
-        dissipation=diss,
-        tau_max=tau_max,
-        n_samples=n_samples,
-        times=times,
-        correlation_ordering=ordering,
-        g2_normalization=g2_norm,
-        initial_state=initial_state,
-        output_path=str(path),
-        precision=precision,
-        given_keys=tuple(sorted(
-            key
-            for section in (dissipation, numerics)
-            for key in section
-            if _get(section, key) is not None
-        )),
-    )
+    return cfg
 
 
 def load_config(path: str) -> RunConfig:
-    """Parse and validate an INI-style config file."""
+    """Parse and validate an INI-style config file.
+
+    A file that is not valid INI or not UTF-8 text is a ConfigError.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file not found: {path}")
-    mapping = {section: dict(parser.items(section)) for section in parser.sections()}
+    try:
+        if not parser.read(path, encoding="utf-8"):
+            raise ConfigError(f"config file not found: {path}")
+        mapping = {section: dict(parser.items(section)) for section in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path} is malformed: {exc}") from exc
     return config_from_mapping(mapping)

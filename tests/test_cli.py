@@ -3,6 +3,7 @@ import dataclasses
 import importlib.util
 import json
 import math
+import re
 import textwrap
 from pathlib import Path
 
@@ -20,9 +21,9 @@ from jtcqed import (
     eigen_lowest,
     number_operator,
 )
-from jtcqed import cli, dynamics
+from jtcqed import cli, config, dynamics
 from jtcqed.cli import main
-from jtcqed.config import config_from_mapping
+from jtcqed.config import RunConfig, config_from_mapping, load_config
 from jtcqed.presets import PRESETS
 
 from conftest import OPENBLAS_COUNTS, bundled_openblas, run_fresh
@@ -268,19 +269,53 @@ class TestConfigErrors:
             assert report["error"] == "config"
             assert "output directory" in report["message"]
 
+    @pytest.mark.parametrize("name", ["outdir", "newdir/"])
+    def test_output_path_naming_a_directory_is_usage_error(self, tmp_path, capsys, monkeypatch, name):
+        # an existing directory, or a path ending in a separator: refused
+        # before the scan runs, and nothing is written or left behind
+        (tmp_path / "outdir").mkdir()
+        monkeypatch.setattr(cli, "eigen_scan", lambda *args, **kwargs: pytest.fail("scan ran"))
+        cfg = write_config(tmp_path / "run.ini", EIGENSCAN_CONFIG.format(out=f"{tmp_path}/{name}"))
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["run", cfg]) == 2
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"] == "config"
+        assert "names a directory" in report["message"]
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"[run]\ntask = eigenscan\ntask = spectrum\n",
+            b"[run]\ntask = eigenscan\n[run]\n",
+            b"task = eigenscan\n",
+            b"[run]\ntask = eigenscan\xff\n",
+            b"[run]\ntask = eigenscan\n[output]\npath = 100%.csv\n",
+        ],
+        ids=["duplicate_option", "duplicate_section", "no_section_header", "not_utf8", "interpolation"],
+    )
+    def test_malformed_file_is_usage_error(self, tmp_path, capsys, body):
+        path = tmp_path / "bad.ini"
+        path.write_bytes(body)
+        assert main(["run", str(path)]) == 2
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"] == "config"
+        assert "malformed" in report["message"]
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_unknown_preset(self, capsys):
         assert main(["preset", "fig9z"]) == 2
 
     def test_none_value_is_unset(self):
         # a mapping's None is an unset key: the default applies, as it does
-        # for a blank value in a file, and the key is not reported as given
+        # for a blank value in a file, and the key is not reported as unused
         cfg = config_from_mapping({
-            "run": {"task": "spectrum"},
-            "model": {"k": 0.1, "delta": 0.0, "fock_dims": [2, 2]},
+            "run": {"task": "eigenscan"},
+            "model": {"k": 0.1, "delta_grid": [0.0], "fock_dims": [2, 2]},
             "numerics": {"tau_max": None, "n_samples": None},
             "output": {"path": "out.csv"},
         })
-        assert (cfg.tau_max, cfg.n_samples, cfg.given_keys) == (1000.0, 4096, ())
+        assert (cfg.tau_max, cfg.n_samples, cfg.unused_keys) == (1000.0, 4096, ())
 
     @pytest.mark.parametrize(
         "task, section, key, value",
@@ -497,15 +532,9 @@ class TestTaskRuns:
         assert manifest["notes"]["propagation_side_qubit"] == 64
 
     @pytest.mark.parametrize("task", ["eigenscan", "spectrum", "g2", "imbalance"])
-    def test_runner_key_table_matches_reads(self, task):
-        # the key table beside each runner must name exactly the [dissipation]
-        # and [numerics] keys the runner reads
-        fields = {
-            "dissipation": cli._DISSIPATION, "tau_max": ("tau_max",),
-            "n_samples": ("n_samples",), "times": ("times",),
-            "correlation_ordering": ("correlation_ordering",),
-            "g2_normalization": ("g2_normalization",), "initial_state": ("initial_state",),
-        }
+    def test_runner_key_table_matches_reads(self, tmp_path, task):
+        # a run reads exactly the keys whose readers in the config key table
+        # name its task, and its manifest lists every other key the config sets
         grid = "delta_grid = -0.5:0.5:3" if task == "eigenscan" else "delta = 0.2"
         cfg = load_config_text(
             f"""
@@ -514,6 +543,8 @@ class TestTaskRuns:
             [model]
             k = 0.1
             {grid}
+            j_override = 0.05
+            include_quadratic = true
             fock_dims = 2, 2
             [dissipation]
             kappa1 = 0.01
@@ -529,21 +560,29 @@ class TestTaskRuns:
             g2_normalization = standard
             initial_state = 1,0,e
             [output]
-            path = unused.csv
+            path = {tmp_path / "run.csv"}
+            precision = 12
             """
         )
+        rates = [field.name for field in dataclasses.fields(DissipationParams)]
         read = set()
 
         class Recorder:
             def __getattr__(self, name):
-                read.update(fields.get(name, ()))
+                read.update(rates if name == "dissipation" else {name} & set(config._KEYS))
                 return getattr(cfg, name)
 
-        run, reads = cli._RUNNERS[task]
-        notes = run(Recorder())[2]
-        assert read == set(reads)
+        cli.execute(Recorder())
+        readers = {key for key, spec in config._KEYS.items() if task in spec.readers}
+        assert read == readers
+        notes = json.loads((tmp_path / "run.manifest.json").read_text())["notes"]
         assert notes.get("method", "taylor") == "taylor"
-        assert set(cfg.given_keys) == {key for keys in fields.values() for key in keys}
+        unset = "delta" if task == "eigenscan" else "delta_grid"
+        assert notes["unused_keys"] == sorted(set(config._KEYS) - readers - {unset})
+
+    def test_run_config_fields_follow_key_table(self):
+        fields = [field.name for field in dataclasses.fields(RunConfig)]
+        assert fields == [*config._KEYS, "unused_keys"]
 
     def test_g2_undefined_coherence_is_numerical_error(self, tmp_path, capsys):
         cfg = write_config(
@@ -681,11 +720,7 @@ class TestSharedEngine:
         first, reused = cli._liouvillian(cfg, cli._space(cfg))
         assert not reused
         assert cli._liouvillian(cfg, cli._space(cfg)) == (first, True)
-        if field in cli._DISSIPATION:
-            dissipation = dataclasses.replace(cfg.dissipation, **{field: value})
-            changed = dataclasses.replace(cfg, dissipation=dissipation)
-        else:
-            changed = dataclasses.replace(cfg, **{field: value})
+        changed = dataclasses.replace(cfg, **{field: value})
         engine, reused = cli._liouvillian(changed, cli._space(changed))
         assert not reused and engine is not first
         assert cli._engine[1] is engine
@@ -696,7 +731,26 @@ def _fmt(value: float, precision: int) -> str:
     return "" if math.isnan(value) else f"{value:.{precision - 1}e}"
 
 
+def test_readme_config_matches_key_table(tmp_path):
+    # the README's config block loads, and names every key of the table
+    # (delta_grid in a comment) and no other
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    assert set(re.findall(r"(\w+) =", block)) == set(config._KEYS)
+    path = tmp_path / "readme.ini"
+    path.write_text(re.sub(r"(?m)^path = .*$", f"path = {tmp_path / 'out.csv'}", block))
+    cfg = load_config(str(path))
+    assert cfg.path == str(tmp_path / "out.csv")
+
+
 class TestCsvWriter:
+    def test_atomic_write_leaves_no_temporary_file(self, tmp_path):
+        # os.replace cannot put a file over a directory
+        (tmp_path / "taken").mkdir()
+        with pytest.raises(OSError):
+            cli._write_atomic(str(tmp_path / "taken"), "text")
+        assert [entry.name for entry in tmp_path.iterdir()] == ["taken"]
+
     def test_matches_cell_by_cell_formatting(self, tmp_path):
         rng = np.random.default_rng(3)
         table = rng.standard_normal((50, 4)) * 10.0 ** rng.integers(-300, 300, (50, 4))
