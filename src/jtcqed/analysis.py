@@ -20,8 +20,7 @@ import numpy as np
 from . import _blas
 from .dynamics import (
     Liouvillian,
-    _propagate,
-    _vec,
+    _regression,
     check_time_grid,
     correlation,
     evolve,
@@ -385,17 +384,12 @@ def g2(
         )
 
     seed = op.matrix @ rho0.matrix @ op.matrix.conj().T
-    weight = op.dag() @ op
-    method, side, values, _, _ = _propagate(
-        liouvillian, _vec(seed), taus, weight_ops=[weight], final=False
-    )
-    values = values[0].real
-    values[0] = np.trace(weight.matrix @ seed).real
+    values, method, side = _regression(liouvillian, seed, op.dag() @ op, taus)
 
     denominator = nbar**2 if normalization == "standard" else nbar
     return CorrelationSeries(
         taus,
-        values / denominator,
+        values.real / denominator,
         metadata={
             "target": target,
             "normalization": normalization,

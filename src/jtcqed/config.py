@@ -206,9 +206,7 @@ class RunConfig:
         echo = {}
         for key, spec in _KEYS.items():
             value = getattr(self, key)
-            if key == "times" and value is not None:
-                value = [float(value[0]), float(value[-1]), int(value.size)]
-            elif isinstance(value, np.ndarray):
+            if isinstance(value, np.ndarray):
                 value = value.tolist()
             elif isinstance(value, tuple):
                 value = list(value)

@@ -1,14 +1,14 @@
 """Lindblad open-system engine.
 
-The Liouvillian is a sparse superoperator L of side ``total_dim**2`` in
-column-major vectorization, assembled once and lazily from the Hamiltonian
-and the scaled collapse operators. Only the stationarity residual applies it
-as it is, one complex CSR mat-vec.
+The Liouvillian is a superoperator L of side ``total_dim**2`` in
+column-major vectorization, assembled as a sparse Kronecker sum from the
+Hamiltonian and the scaled collapse operators, and kept in one real frame
+only. L maps Hermitian matrices to Hermitian matrices, so its matrix
+L_r = U^dag L U in the orthonormal Hermitian operator basis U of the whole
+space (rho_ii, sqrt(2) Re rho_ij and sqrt(2) Im rho_ij for i < j) is real;
+both are built once per Liouvillian, and every use of L reads L_r: the
+stationarity residual applies L to a matrix X as U L_r U^dag vec X.
 
-Everything else works in one real frame. L maps Hermitian matrices to
-Hermitian matrices, so its matrix L_r = U^dag L U in the orthonormal
-Hermitian operator basis U of the whole space (rho_ii, sqrt(2) Re rho_ij and
-sqrt(2) Im rho_ij for i < j) is real; both are built once per Liouvillian.
 L_r's pattern splits into weakly connected components, the invariant
 blocks: L_r has no entry between two of them, so it is block-diagonal over
 them (symmetry sectors such as parity or a conserved coherence order, found
@@ -127,6 +127,25 @@ def _unvec(v: np.ndarray, d: int) -> np.ndarray:
     return v.reshape((d, d), order="F")
 
 
+def _superoperator(liouvillian: Liouvillian) -> scipy.sparse.csr_array:
+    """L on column-major vectorized states, in CSR without stored zeros: the
+    Kronecker assembly of -i[H, X] + sum_k (c X c^dag - {c^dag c, X}/2)."""
+    d = liouvillian.space.total_dim
+    eye = scipy.sparse.eye_array(d, dtype=complex, format="csr")
+
+    def kron(a, b):
+        return scipy.sparse.kron(a, b, format="csr")
+
+    h = liouvillian.hamiltonian.matrix
+    m = -1j * (kron(eye, h) - kron(h.T, eye))
+    for c in (op.matrix for op in liouvillian.collapse_ops):
+        cdc = c.conj().T @ c
+        m = m + kron(c.conj(), c)
+        m = m - 0.5 * (kron(eye, cdc) + kron(cdc.T, eye))
+    m.eliminate_zeros()
+    return m
+
+
 class Liouvillian:
     """Generator of the master equation d rho/dt = -i[H, rho] + sum_k D[c_k] rho."""
 
@@ -141,38 +160,18 @@ class Liouvillian:
         self.hamiltonian = hamiltonian
         self.collapse_ops = tuple(collapse_ops)
         self.dissipation = dissipation
-        self._sparse: scipy.sparse.csr_array | None = None
         self._matrix: np.ndarray | None = None
         self._real: tuple[scipy.sparse.csr_array, scipy.sparse.csr_array] | None = None
         self._labels: np.ndarray | None = None
         self._propagator: tuple[tuple[float, bytes], np.ndarray] | None = None
 
     @property
-    def sparse(self) -> scipy.sparse.csr_array:
-        """Superoperator on column-major vectorized states, in CSR without stored zeros."""
-        if self._sparse is None:
-            d = self.space.total_dim
-            eye = scipy.sparse.eye_array(d, dtype=complex, format="csr")
-
-            def kron(a, b):
-                return scipy.sparse.kron(a, b, format="csr")
-
-            h = self.hamiltonian.matrix
-            m = -1j * (kron(eye, h) - kron(h.T, eye))
-            for c in (op.matrix for op in self.collapse_ops):
-                cdc = c.conj().T @ c
-                m = m + kron(c.conj(), c)
-                m = m - 0.5 * (kron(eye, cdc) + kron(cdc.T, eye))
-            m.eliminate_zeros()
-            self._sparse = m
-        return self._sparse
-
-    @property
     def matrix(self) -> np.ndarray:
-        """Dense superoperator, read-only and cached: :attr:`sparse` densified,
-        an oracle for tests that no package code reads."""
+        """Dense superoperator L on column-major vectorized states, read-only
+        and cached: :func:`_superoperator` densified, an oracle for tests that
+        no package code reads."""
         if self._matrix is None:
-            m = self.sparse.toarray()
+            m = _superoperator(self).toarray()
             m.setflags(write=False)
             self._matrix = m
         return self._matrix
@@ -205,17 +204,21 @@ class Liouvillian:
         return self._union(np.flatnonzero(self._real_generator()[0].conj().T @ x))
 
     def apply(self, mat: np.ndarray) -> np.ndarray:
-        """Apply the generator to a (not necessarily Hermitian) matrix: one
-        mat-vec with :attr:`sparse`."""
-        return _unvec(self.sparse @ _vec(mat), self.space.total_dim)
+        """Apply the generator to a (not necessarily Hermitian) matrix X as
+        U (L_r (U^dag vec X)) (:meth:`_real_generator`), exact to rounding
+        since L = U L_r U^dag; raises ``ValidationError`` where L_r does."""
+        u, real_gen = self._real_generator()
+        return _unvec(u @ (real_gen @ (u.conj().T @ _vec(mat))), self.space.total_dim)
 
     def _real_generator(self):
-        """(U, L_r), built once: U is the unitary whose columns are the
-        orthonormal Hermitian operator basis of the whole space, rho_ii at its
-        own position, and for i < j (rho_ij + rho_ji)/sqrt(2) at rho_ij's
-        position and i (rho_ij - rho_ji)/sqrt(2) at rho_ji's; L_r = U^dag L U
-        is L in that basis, a real CSR array without stored zeros (its mat-vec
-        took a third of the CSC one's time at side 9604).
+        """(U, L_r), built once, the only generator a Liouvillian keeps: U is
+        the unitary whose columns are the orthonormal Hermitian operator basis
+        of the whole space, rho_ii at its own position, and for i < j
+        (rho_ij + rho_ji)/sqrt(2) at rho_ij's position and
+        i (rho_ij - rho_ji)/sqrt(2) at rho_ji's; L_r = U^dag L U is L in that
+        basis, with L from :func:`_superoperator` and not kept, a real CSR
+        array without stored zeros (its mat-vec took a third of the CSC one's
+        time at side 9604).
 
         y = U^dag x are the real coordinates of a Hermitian x, at the same
         positions: rho_ii, sqrt(2) Re rho_ij and sqrt(2) Im rho_ij. L maps
@@ -240,7 +243,7 @@ class Liouvillian:
                 ),
                 shape=(d * d, d * d),
             )
-            real_gen = u.conj().T @ self.sparse @ u
+            real_gen = u.conj().T @ _superoperator(self) @ u
             scale = np.abs(real_gen.data).max(initial=0.0)
             if np.abs(real_gen.data.imag).max(initial=0.0) > 16 * np.finfo(float).eps * scale:
                 raise ValidationError(
@@ -278,16 +281,6 @@ class Liouvillian:
         return float(np.abs(self.apply(rho.matrix)).max())
 
 
-def _hermitian_hamiltonian(h: QOperator) -> QOperator:
-    """h as an exactly Hermitian operator, (h + h^dag)/2, once it passes
-    :meth:`QOperator.is_hermitian`: a defect within that tolerance would
-    otherwise leave an imaginary part in the whole-space L_r, which
-    :meth:`Liouvillian._real_generator` rejects when it builds it."""
-    if not h.is_hermitian():
-        raise ValidationError("Hamiltonian must be Hermitian")
-    return QOperator(h.space, (h.matrix + h.matrix.conj().T) / 2.0)
-
-
 def liouvillian_from_operators(
     hamiltonian: QOperator,
     collapse_ops: Sequence[QOperator],
@@ -297,9 +290,15 @@ def liouvillian_from_operators(
 
     Each collapse operator must already carry the square root of its rate,
     i.e. the damping term contributed is D[c] rho = c rho c^dag - {c^dag c, rho}/2.
+    The Hamiltonian must pass :meth:`QOperator.is_hermitian` and is made
+    exactly Hermitian, (H + H^dag)/2: a defect within that tolerance would
+    otherwise leave an imaginary part in the whole-space L_r, which
+    :meth:`Liouvillian._real_generator` rejects when it builds it.
     """
-    hamiltonian = _hermitian_hamiltonian(hamiltonian)
+    if not hamiltonian.is_hermitian():
+        raise ValidationError("Hamiltonian must be Hermitian")
     space = hamiltonian.space
+    hamiltonian = QOperator(space, (hamiltonian.matrix + hamiltonian.matrix.conj().T) / 2.0)
     for c in collapse_ops:
         if c.space != space:
             raise ValueError("collapse operator lives on a different space")
@@ -314,7 +313,6 @@ def build_liouvillian(h: QOperator, d: DissipationParams) -> Liouvillian:
     single mode or without a qubit simply omit the missing channels, which
     keeps uncoupled-cavity fixtures expressible.
     """
-    h = _hermitian_hamiltonian(h)
     space = h.space
     if space.n_modes > 2 or space.qubit_count > 1:
         raise ValueError("dissipation defaults cover at most 2 modes and 1 qubit")
@@ -334,7 +332,7 @@ def build_liouvillian(h: QOperator, d: DissipationParams) -> Liouvillian:
             ops.append(np.sqrt(d.gamma) * qubit_lowering(space))
         if d.gamma_phi > 0.0:
             ops.append(np.sqrt(d.gamma_phi / 2.0) * pauli(space, "z"))
-    return Liouvillian(space, h, ops, d)
+    return liouvillian_from_operators(h, ops, d)
 
 
 @dataclass
@@ -584,6 +582,18 @@ def _propagate(
     return "expm" if dense else "taylor", block.size, values, columns, x_final
 
 
+def _regression(
+    liouvillian: Liouvillian, seed: np.ndarray, weight: QOperator, taus: np.ndarray
+):
+    """The regression scan tr(W exp(L tau)(seed)) over a checked delay grid,
+    W = ``weight``: returns the values, the zero-delay one tr(W seed)
+    computed directly, with the kernel and side of :func:`_propagate`."""
+    method, side, values, _, _ = _propagate(liouvillian, _vec(seed), taus, [weight], final=False)
+    values = values[0]
+    values[0] = np.trace(weight.matrix @ seed)
+    return values, method, side
+
+
 def evolve(
     liouvillian: Liouvillian,
     rho0: DensityMatrix,
@@ -744,11 +754,7 @@ def correlation(
             f"state is not stationary (residual {residual:.3e} > {STATIONARITY_TOL})"
         )
     taus = check_time_grid(taus)
-
-    seed = b_op.matrix @ rho_ss.matrix
-    method, side, values, _, _ = _propagate(liouvillian, _vec(seed), taus, [a_op], final=False)
-    values = np.array(values[0], dtype=complex)
-    values[0] = np.trace(a_op.matrix @ seed)
+    values, method, side = _regression(liouvillian, b_op.matrix @ rho_ss.matrix, a_op, taus)
     return CorrelationSeries(
         taus,
         values,

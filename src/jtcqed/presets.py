@@ -4,7 +4,9 @@ Each preset expands to one or more fully resolved run configurations
 (coupled/uncoupled hopping variants, or the imbalance + coherence pair), so a
 figure's data is reproduced with a single command. Parameters not pinned by
 the source material (the mismatch used by the imbalance runs, the time grids)
-are fixed here and echoed in every manifest.
+are fixed here and echoed in every manifest. The dissipation rates are
+``DissipationParams``' defaults; only the imbalance pairs set one, the
+dephasing rate.
 """
 
 from __future__ import annotations
@@ -22,14 +24,6 @@ SQRT2 = math.sqrt(2.0)
 # disadvantaged mode, and already at delta ~ 0.05 that heating destroys the
 # ultrastrong trapped regime within the run horizon.
 IMBALANCE_DELTA = 0.01
-
-_BASE_DISSIPATION = {
-    "kappa1": 0.001,
-    "kappa2": 0.001,
-    "gamma": 0.001,
-    "gamma_phi": 0.01,
-    "n_th": 0.15,
-}
 
 _SPECTRUM_NUMERICS = {
     "tau_max": 10000.0,
@@ -59,7 +53,6 @@ def _eigenscan(name: str, k: float, k_label: str) -> Preset:
             "delta_grid": "-1:1:201",
             "fock_dims": "2, 2",
         },
-        "dissipation": dict(_BASE_DISSIPATION),
         "output": {"path": f"{name}.csv"},
     }
     return Preset(
@@ -84,7 +77,6 @@ def _spectrum(name: str, k: float, k_label: str, include_quadratic: bool = True)
                 "include_quadratic": include_quadratic,
                 "fock_dims": "5, 5",
             },
-            "dissipation": dict(_BASE_DISSIPATION),
             "numerics": dict(_SPECTRUM_NUMERICS),
             "output": {"path": f"{name}_{j_label}.csv"},
         }
@@ -103,7 +95,6 @@ def _spectrum(name: str, k: float, k_label: str, include_quadratic: bool = True)
 def _imbalance_pair(
     name: str, k: float, k_label: str, gamma_phi: float, times: str = _IMBALANCE_TIMES
 ) -> Preset:
-    dissipation = dict(_BASE_DISSIPATION, gamma_phi=gamma_phi)
     model = {
         "k": k,
         "delta": IMBALANCE_DELTA,
@@ -112,14 +103,14 @@ def _imbalance_pair(
     imbalance_map = {
         "run": {"task": "imbalance"},
         "model": dict(model),
-        "dissipation": dict(dissipation),
+        "dissipation": {"gamma_phi": gamma_phi},
         "numerics": {"times": times, "initial_state": "1,0,e"},
         "output": {"path": f"{name}_imbalance.csv"},
     }
     g2_map = {
         "run": {"task": "g2"},
         "model": dict(model),
-        "dissipation": dict(dissipation),
+        "dissipation": {"gamma_phi": gamma_phi},
         "numerics": {"times": _G2_TIMES, "initial_state": "1,0,e"},
         "output": {"path": f"{name}_g2.csv"},
     }

@@ -10,6 +10,8 @@ import pytest
 
 import jtcqed
 from jtcqed import DensityMatrix, QOperator, SpaceSpec, cli, dynamics
+from jtcqed.config import config_from_mapping
+from jtcqed.presets import PRESETS
 
 
 @pytest.fixture(autouse=True)
@@ -19,6 +21,27 @@ def cold_engine():
     cli._engine = None
     yield
     cli._engine = None
+
+
+def run_presets(out_dir) -> dict[str, str]:
+    """Run every bundled preset through ``cli.execute`` into ``out_dir``, in
+    ``PRESETS`` order as ``jtcqed preset`` would, with the engine slot
+    emptied before and after; returns run label -> CSV path."""
+    cli._engine = None
+    paths = {
+        label: cli.execute(config_from_mapping(mapping), out_dir=str(out_dir))
+        for preset in PRESETS.values()
+        for label, mapping in preset.runs
+    }
+    cli._engine = None
+    return paths
+
+
+@pytest.fixture(scope="session")
+def preset_outputs(tmp_path_factory) -> dict[str, str]:
+    """The 16 preset CSVs (manifests beside them), run once per session and
+    shared by the golden-output test and the acceptance criteria."""
+    return run_presets(tmp_path_factory.mktemp("presets"))
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ echoed by the run manifests of the corresponding presets.
 
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,9 +36,6 @@ from jtcqed import (
     spectrum_peaks,
     steady_state,
 )
-from jtcqed.cli import execute
-from jtcqed.config import config_from_mapping
-from jtcqed.presets import PRESETS
 
 from conftest import KERNELS, on_kernel, random_density, random_hermitian, truncated_geometric
 
@@ -216,15 +214,15 @@ def test_criterion_6_wiener_khinchin():
            time.perf_counter() - start)
 
 
-def test_criterion_7_imbalance_suite(tmp_path):
+def test_criterion_7_imbalance_suite(preset_outputs):
+    # the fig4 runs of the session's preset outputs, shared with the golden test
     start = time.perf_counter()
     data = {}
     for name in ("fig4a", "fig4b", "fig4c"):
-        for label, mapping in PRESETS[name].runs:
-            execute(config_from_mapping(mapping), out_dir=str(tmp_path))
-        rows = np.genfromtxt(tmp_path / f"{name}_imbalance.csv", delimiter=",", names=True)
-        g2_rows = np.genfromtxt(tmp_path / f"{name}_g2.csv", delimiter=",", names=True)
-        manifest = json.loads((tmp_path / f"{name}_imbalance.manifest.json").read_text())
+        imbalance_csv, g2_csv = (preset_outputs[f"{name}_{run}"] for run in ("imbalance", "g2"))
+        rows = np.genfromtxt(imbalance_csv, delimiter=",", names=True)
+        g2_rows = np.genfromtxt(g2_csv, delimiter=",", names=True)
+        manifest = json.loads(Path(imbalance_csv).with_suffix(".manifest.json").read_text())
         data[name] = (rows, g2_rows, manifest)
 
     # fig4a: oscillatory imbalance decaying toward zero

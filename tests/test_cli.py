@@ -427,10 +427,12 @@ class TestTaskRuns:
         manifest = json.loads((tmp_path / "imb.manifest.json").read_text())
         assert manifest["notes"]["method"] == "taylor"
 
-    @pytest.mark.parametrize("times", ["0, 1, 3, 7, 20", "0, 5"])
+    @pytest.mark.parametrize("times", ["0, 1, 3, 7, 20", "0, 5", "0:20:5"])
     def test_taylor_imbalance_run_matches_oracle(self, tmp_path, times):
         # a non-uniform and a two-point grid, which the dense kernel does not
-        # take; oracle: one-shot complex expm(L t) per row
+        # take, and a uniform grid with the first one's ends and count, which
+        # it does; oracle: one-shot complex expm(L t) per row. The manifest
+        # echoes each grid in full, so the first and the last echo differently.
         out = tmp_path / "imb.csv"
         cfg = write_config(
             tmp_path / "run.ini",
@@ -454,7 +456,9 @@ class TestTaskRuns:
         )
         assert main(["run", cfg]) == 0
         table = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
-        assert table[:, 0].tolist() == [float(t) for t in times.split(",")]
+        uniform = ":" in times
+        grid = np.linspace(0.0, 20.0, 5).tolist() if uniform else [float(t) for t in times.split(",")]
+        assert table[:, 0].tolist() == grid
         space = SpaceSpec((2, 2), 1)
         h = build_dimensionless_hamiltonian(space, 0.1, 0.2)
         liou = build_liouvillian(h, DissipationParams())
@@ -464,7 +468,8 @@ class TestTaskRuns:
         oracle = np.column_stack([table[:, 0], n, (n[:, 0] - n[:, 1]) / n.sum(axis=1)])
         assert np.all(np.abs(table - oracle).max(axis=0) <= 1e-12 * np.abs(oracle).max(axis=0))
         manifest = json.loads((tmp_path / "imb.manifest.json").read_text())
-        assert manifest["notes"]["method"] == "taylor"
+        assert manifest["notes"]["method"] == ("expm" if uniform else "taylor")
+        assert manifest["config"]["numerics"]["times"] == grid
 
     def test_imbalance_missing_values_are_empty_fields(self, tmp_path):
         out = tmp_path / "imb.csv"

@@ -62,12 +62,19 @@ class TestBuildLiouvillian:
             build_liouvillian(QOperator(SMALL, m), DissipationParams())
 
     def test_non_hermitian_generator_has_no_real_propagator(self):
-        # the constructor itself does not check H; the real-basis propagator does
+        # the constructor itself does not check H; the real generator, which
+        # the propagator and every application of L read, does
         m = np.zeros((8, 8), dtype=complex)
         m[0, 3] = 1.0
         liou = dynamics.Liouvillian(SMALL, QOperator(SMALL, m), [])
-        with pytest.raises(ValidationError):
-            liou.propagator(0.5, np.arange(SMALL.total_dim**2))
+        rho = DensityMatrix(SMALL, np.eye(8) / 8)
+        for use in (
+            lambda: liou.propagator(0.5, np.arange(SMALL.total_dim**2)),
+            lambda: liou.apply(rho.matrix),
+            lambda: liou.stationarity_residual(rho),
+        ):
+            with pytest.raises(ValidationError):
+                use()
 
     def test_hermiticity_defect_within_tolerance_is_accepted(self, rng):
         # V D V^dag leaves a defect of order eps; the added anti-Hermitian
@@ -132,7 +139,6 @@ class TestBuildLiouvillian:
             cdc = c.matrix.conj().T @ c.matrix
             m += np.kron(c.matrix.conj(), c.matrix)
             m -= 0.5 * (np.kron(eye, cdc) + np.kron(cdc.T, eye))
-        assert np.array_equal(liou.sparse.toarray(), m)
         assert np.array_equal(liou.matrix, m)
         assert not liou.matrix.flags.writeable
 
@@ -160,7 +166,7 @@ def closed_unions(liou):
     superoperator's pattern, joined with their images under rho_ij <-> rho_ji."""
     d = liou.space.total_dim
     _, labels = scipy.sparse.csgraph.connected_components(
-        abs(liou.sparse), directed=True, connection="weak"
+        abs(scipy.sparse.csr_array(liou.matrix)), directed=True, connection="weak"
     )
     # component c and the component of its transposed image share a union
     images = labels[transposed(np.arange(d * d), d)]
@@ -232,9 +238,10 @@ class TestInvariantBlocks:
         assert blocks == closed_unions(liou)
         real_gen = liou._real_generator()[1]
         assert real_gen.dtype == np.float64
+        sparse = scipy.sparse.csr_array(liou.matrix)
         for block in liou.blocks:
             u = hermitian_basis(BLOCK_SPACE.total_dim, block)
-            oracle = u.conj().T @ liou.sparse[block][:, block] @ u
+            oracle = u.conj().T @ sparse[block][:, block] @ u
             assert np.array_equal(real_gen[block][:, block].toarray(), oracle.toarray().real)
 
     def test_real_generator_built_once(self, monkeypatch):
@@ -263,12 +270,19 @@ class TestInvariantBlocks:
         rho0 = DensityMatrix.from_pure(BLOCK_SPACE, basis_ket(BLOCK_SPACE, [1, 0], ["e"]))
         assert liou.invariant_block(rho0.matrix.ravel(order="F")).size == BLOCK_SPACE.total_dim**2
 
-    def test_one_block_keeps_no_dense_superoperator(self):
-        # the steady state and a correlation densify only what they solve with
+    def test_one_block_keeps_no_dense_superoperator(self, monkeypatch):
+        # the steady state, correlations and evolve on both kernels densify
+        # only what they solve with, and keep no generator but L_r
         liou, _ = self.blocks(delta=0.3)
         rho = steady_state(liou)
         a1 = annihilation(BLOCK_SPACE, 0)
-        correlation(liou, rho, a1.dag(), a1, np.linspace(0.0, 20.0, 5))
+        n1 = {"n1": number_operator(BLOCK_SPACE, 0)}
+        for kernel, taus in zip(KERNELS, (np.linspace(0.0, 20.0, 5), [0.0, 1.0, 3.0, 20.0])):
+            with on_kernel(monkeypatch, kernel):
+                traj = evolve(liou, rho, np.linspace(0.0, 20.0, 5), n1)
+            series = correlation(liou, rho, a1.dag(), a1, taus)
+            assert traj.method == series.metadata["method"] == kernel
+        assert not hasattr(liou, "sparse") and not hasattr(liou, "_sparse")
         assert liou._matrix is None
 
     def test_invariant_block_is_union_of_held_blocks(self):
@@ -312,7 +326,7 @@ class TestBlockPropagation:
         return scipy.linalg.expm(liou.matrix * t) @ x0
 
     def assert_propagator_matches_complex_expm(self, liou, dt, block):
-        oracle = scipy.linalg.expm(liou.sparse[block][:, block].toarray() * dt)
+        oracle = scipy.linalg.expm(liou.matrix[np.ix_(block, block)] * dt)
         real_prop = liou.propagator(dt, block)
         assert real_prop.dtype == np.float64 and not real_prop.flags.writeable
         u = hermitian_basis(liou.space.total_dim, block).toarray()
@@ -425,7 +439,7 @@ class TestBlockPropagation:
 
     def test_taylor_steps_real_generator(self, monkeypatch):
         # the Taylor kernel steps with the real block generator, never the
-        # complex whole-space mat-vec of Liouvillian.apply
+        # whole-space Liouvillian.apply
         liou = self.linear()
         rho0 = DensityMatrix.from_pure(BLOCK_SPACE, basis_ket(BLOCK_SPACE, [1, 0], ["e"]))
         calls = []
@@ -650,7 +664,7 @@ class TestExpmScan:
         liou, x0, rows = self.scan_setup(rng, n_rows)
         dt = 0.7
         whole = np.arange(x0.size)
-        prop = scipy.linalg.expm(liou.sparse[whole][:, whole].toarray() * dt)
+        prop = scipy.linalg.expm(liou.matrix * dt)
         chain = [x0]
         for _ in range(n_steps):
             chain.append(prop @ chain[-1])
@@ -679,7 +693,7 @@ class TestExpmScan:
         x0 = x0[block]
         rows = rng.standard_normal((2, x0.size)) + 1j * rng.standard_normal((2, x0.size))
         n_steps, dt = 2 * self.BLOCK + 3, 0.7
-        prop = scipy.linalg.expm(liou.sparse[block][:, block].toarray() * dt)
+        prop = scipy.linalg.expm(liou.matrix[np.ix_(block, block)] * dt)
         chain = [x0]
         for _ in range(n_steps):
             chain.append(prop @ chain[-1])
@@ -705,7 +719,7 @@ class TestExpmScan:
         )
         assert sizes == []
         assert len(states) == 10 and np.array_equal(states[-1], x_final)
-        prop = scipy.linalg.expm(liou.sparse[whole][:, whole].toarray() * 0.7)
+        prop = scipy.linalg.expm(liou.matrix * 0.7)
         expected = x0
         for state in states:
             assert np.abs(state - expected).max() <= 1e-13 * np.abs(expected).max()
