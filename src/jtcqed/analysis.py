@@ -29,12 +29,13 @@ from .errors import UndefinedCoherenceError, ValidationError
 from .hilbert import (
     DensityMatrix,
     SpaceSpec,
+    _ladder,
     annihilation,
     expectation,
     number_operator,
     qubit_lowering,
 )
-from .model import build_dimensionless_hamiltonian
+from .model import _dimensionless_matrix, _require_two_modes_one_qubit
 from .series import CorrelationSeries, ImbalanceSeries, SpectrumSeries
 
 __all__ = [
@@ -71,9 +72,11 @@ def _hamiltonian_sweep(k, delta_grid, count, space, include_quadratic, solve, j_
     """The validated mismatch grid and ``solve`` applied along it.
 
     H(delta) is affine in delta, so two builds give h0 = H(0), h1 = H(1) - H(0)
-    and H(delta) = h0 + delta h1. Checking h0 and h1 (Hermitian, imaginary
-    part zero) covers every point, and the eigensolves run in real arithmetic,
-    about twice as fast as in complex.
+    and H(delta) = h0 + delta h1. Both come from the model's real
+    tensor-factor builder (``model._dimensionless_matrix``, float64 by
+    construction), so no full-space complex array is formed and every
+    eigensolve runs in real arithmetic, about twice as fast as in complex.
+    Checking h0 and h1 for exact symmetry covers every point.
 
     The grid is cut into contiguous chunks, one per CPU of the affinity mask
     and at most one per batch; the calling thread runs the first and worker
@@ -97,18 +100,12 @@ def _hamiltonian_sweep(k, delta_grid, count, space, include_quadratic, solve, j_
     # The builds run on one BLAS thread too: a two-thread call just before
     # the chunks start leaves OpenBLAS's own thread spinning beside them.
     with _blas.single_thread():
-        at_zero, at_one = (
-            build_dimensionless_hamiltonian(
-                space, k, d, include_quadratic=include_quadratic, j_override=j_override
-            )
-            for d in (0.0, 1.0)
+        h0, at_one = (
+            _dimensionless_matrix(space, k, d, include_quadratic, j_override) for d in (0.0, 1.0)
         )
-        parts = (at_zero, at_one - at_zero)
-        if not all(part.is_hermitian() for part in parts):
-            raise ValidationError("eigen decomposition requires a Hermitian operator")
-        if any(np.any(part.matrix.imag) for part in parts):
-            raise ValidationError("eigen scans require a real Hamiltonian")
-        h0, h1 = (part.matrix.real for part in parts)
+        h1 = at_one - h0
+        if not all(np.array_equal(h, h.T) for h in (h0, h1)):
+            raise ValidationError("eigen decomposition requires a symmetric Hamiltonian")
 
         batch = max(_MIN_BATCH, _BATCH_BYTES // h0.nbytes)
         n_batches = -(-deltas.size // batch)
@@ -196,7 +193,9 @@ def single_mode_window(
     spectator pairs that hybridize at any mismatch and would mask the window.
     Raises ``ValueError`` unless the grid brackets delta = 0.
     """
-    n2 = number_operator(space, 1).matrix.real
+    _require_two_modes_one_qubit(space)
+    a2 = _ladder(space.fock_dims[1])
+    n2 = np.kron(np.kron(np.eye(space.fock_dims[0]), a2.T @ a2), np.eye(2))
 
     def solve(stack):
         vectors = np.linalg.eigh(stack)[1][:, :, :count]

@@ -1,9 +1,11 @@
 """Operator algebra on the composite Hilbert space (Fock modes + qubits).
 
 Operators are dense: the largest space used anywhere in the package is a few
-tens of dimensions, where dense eigensolves and products are cheap. Only the
+hundred dimensions, where dense eigensolves are cheap. Only the
 superoperator, whose side is the square of that, is assembled sparse (in
-``dynamics``).
+``dynamics``). ``model`` assembles the dimensionless Hamiltonian straight
+from the per-factor matrices (``_ladder``, the Pauli matrices) as a real
+array, without the full-space complex products of the ``QOperator`` algebra.
 
 The tensor-factor ordering is fixed at construction time: Fock modes first
 (in the order given), qubits last. All operators carry the ``SpaceSpec`` they
@@ -100,6 +102,14 @@ def _embed(space: SpaceSpec, factors: dict[int, np.ndarray]) -> np.ndarray:
     return out
 
 
+def _ladder(dim: int) -> np.ndarray:
+    """Real truncated ladder matrix of one Fock factor, <n-1|a|n> = sqrt(n)."""
+    a = np.zeros((dim, dim))
+    ns = np.arange(1, dim)
+    a[ns - 1, ns] = np.sqrt(ns)
+    return a
+
+
 class QOperator:
     """A dense complex matrix tagged with the space it acts on."""
 
@@ -171,11 +181,7 @@ def annihilation(space: SpaceSpec, mode_index: int) -> QOperator:
     """Embedded truncated ladder operator with <n-1|a|n> = sqrt(n)."""
     if not 0 <= mode_index < space.n_modes:
         raise ValueError(f"mode index {mode_index} out of range for {space.n_modes} modes")
-    d = space.fock_dims[mode_index]
-    a = np.zeros((d, d), dtype=complex)
-    ns = np.arange(1, d)
-    a[ns - 1, ns] = np.sqrt(ns)
-    return QOperator(space, _embed(space, {mode_index: a}))
+    return QOperator(space, _embed(space, {mode_index: _ladder(space.fock_dims[mode_index])}))
 
 
 def number_operator(space: SpaceSpec, mode_index: int) -> QOperator:

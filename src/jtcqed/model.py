@@ -9,8 +9,13 @@ Three builders are provided:
 * ``build_dimensionless_hamiltonian`` -- the two-parameter (k, delta) form
   used by every production pipeline; mode frequencies are the energy unit.
 
-All builders return Hermitian operators for any finite parameters;
-``unbounded_below`` tells where the dimensionless one has no ground state.
+The first two compose ``QOperator`` products. The third wraps
+``_dimensionless_matrix``, which Kronecker-assembles the same matrix from the
+per-factor matrices in real arithmetic and which eigenscans read directly.
+
+All builders return Hermitian operators for any finite parameters (the
+dimensionless one rejects the others); ``unbounded_below`` tells where the
+dimensionless one has no ground state.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateModelError
-from .hilbert import QOperator, SpaceSpec, annihilation, number_operator, pauli
+from .errors import DegenerateModelError, ValidationError
+from .hilbert import _PAULI, QOperator, SpaceSpec, _ladder, annihilation, number_operator, pauli
 
 __all__ = [
     "ModelParams",
@@ -213,25 +218,46 @@ def build_dimensionless_hamiltonian(
     with J = delta/2 unless ``j_override`` replaces it (the override touches
     the hopping term only, so resonator coupling and mode-2 drive can be
     varied independently). ``include_quadratic=False`` drops both squared
-    terms, leaving the linear reference model.
+    terms, leaving the linear reference model. A non-finite k, delta or
+    ``j_override`` raises ``ValidationError``.
+    """
+    return QOperator(space, _dimensionless_matrix(space, k, delta, include_quadratic, j_override))
+
+
+def _dimensionless_matrix(
+    space: SpaceSpec,
+    k: float,
+    delta: float,
+    include_quadratic: bool = True,
+    j_override: float | None = None,
+) -> np.ndarray:
+    """The matrix of :func:`build_dimensionless_hamiltonian`, real float64.
+
+    Each term is a Kronecker product of per-factor matrices (ladder, identity,
+    sz, sx; mode 1, mode 2, qubit), and every entry takes its sums and
+    scalings in the order the ``QOperator`` algebra takes them, so the result
+    equals that algebra's real part bit for bit without forming a full-space
+    product. Raises ``ValidationError`` for a non-finite k, delta or
+    ``j_override``.
     """
     _require_two_modes_one_qubit(space)
+    for name, value in (("k", k), ("delta", delta), ("j_override", j_override)):
+        if value is not None and not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
     j_hop = 0.5 * delta if j_override is None else j_override
 
-    sz = pauli(space, "z")
-    sx = pauli(space, "x")
-    a1 = annihilation(space, 0)
-    a2 = annihilation(space, 1)
-    x1 = a1 + a1.dag()
-    x2 = a2 + a2.dag()
-
-    h = number_operator(space, 0) + number_operator(space, 1) + 0.5 * sz
-    h = h + j_hop * (a1.dag() @ a2 + a2.dag() @ a1)
-    drive = x1 + 0.5 * delta * x2
+    (d1, d2), qubit = space.fock_dims, np.eye(2)
+    one1, one2 = np.eye(d1), np.eye(d2)
+    a1, a2 = _ladder(d1), _ladder(d2)
+    x1, x2 = a1 + a1.T, a2 + a2.T
+    # mode terms act on the d1*d2 two-mode factor; the qubit factor goes last
+    modes = np.kron(a1.T @ a1, one2) + np.kron(one1, a2.T @ a2)
+    h = np.kron(modes, qubit) + 0.5 * np.kron(np.eye(d1 * d2), _PAULI["z"].real)
+    h = h + j_hop * np.kron(np.kron(a1.T, a2) + np.kron(a1, a2.T), qubit)
+    drive = np.kron(x1, one2) + 0.5 * delta * np.kron(one1, x2)
     if include_quadratic:
-        drive = drive + (x1 @ x1) + 0.5 * delta * (x2 @ x2)
-    h = h + math.sqrt(2.0) * k * (drive @ sx)
-    return h
+        drive = drive + np.kron(x1 @ x1, one2) + 0.5 * delta * np.kron(one1, x2 @ x2)
+    return h + math.sqrt(2.0) * k * np.kron(drive, _PAULI["x"].real)
 
 
 def unbounded_below(

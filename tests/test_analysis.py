@@ -1,5 +1,6 @@
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,9 +71,9 @@ class TestEigenScan:
     def test_two_builds_per_sweep(self, monkeypatch):
         # H(delta) is affine in delta: a sweep of any length builds it twice
         calls = []
-        build = analysis.build_dimensionless_hamiltonian
+        build = analysis._dimensionless_matrix
         monkeypatch.setattr(
-            analysis, "build_dimensionless_hamiltonian",
+            analysis, "_dimensionless_matrix",
             lambda *args, **kwargs: calls.append(1) or build(*args, **kwargs),
         )
         grid = np.linspace(-1.0, 1.0, 9)
@@ -87,8 +88,16 @@ class TestEigenScan:
         assert np.array_equal(row, table.energies[0])
 
     def test_non_finite_model_rejected(self):
-        with pytest.raises(ValidationError):
-            eigen_scan(0.1, [0.0], 5, SMALL, j_override=float("nan"))
+        # the builder names the parameter before any eigensolve sees it
+        for value in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValidationError, match="^k must be finite"):
+                eigen_scan(value, [0.0], 5, SMALL)
+            with pytest.raises(ValidationError, match="^j_override must be finite"):
+                eigen_scan(0.1, [0.0], 5, SMALL, j_override=value)
+            with pytest.raises(ValidationError, match="^k must be finite"):
+                single_mode_window(value, [-0.1, 0.0, 0.1], SMALL)
+            with pytest.raises(ValidationError, match="^delta must be finite"):
+                build_dimensionless_hamiltonian(SMALL, 0.1, value)
 
     def test_window_widens_with_coupling(self):
         grid = np.linspace(-1.0, 1.0, 81)
@@ -145,6 +154,21 @@ class TestSweepRunner:
             expected.append(np.abs(occ - np.round(occ)).max())
         scan = single_mode_window(0.1 / np.sqrt(2.0), grid, space)
         assert np.array_equal(scan.mixing, expected)
+
+    def test_traced_peak_is_bounded(self, monkeypatch):
+        # Two workers on a [10,10], 201-point scan: the real builds, h0 and h1,
+        # and one 1 MB batch per worker, about 3.2 MB traced; building through
+        # full-space complex QOperator products peaked at 8.3 MB.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        space, grid = SpaceSpec((10, 10), 1), np.linspace(-1.0, 1.0, 201)
+        eigen_scan(0.1, grid[:3], 5, space)
+        tracemalloc.start()
+        try:
+            eigen_scan(0.1, grid, 5, space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
     def test_worker_exception_reaches_caller(self, monkeypatch):
         if not _blas.setters():

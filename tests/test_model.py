@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from jtcqed import model
 from jtcqed import (
     DegenerateModelError,
     ModelParams,
@@ -17,6 +18,7 @@ from jtcqed import (
     eigen_lowest,
     number_operator,
     params_from_dimensionless,
+    pauli,
     unbounded_below,
 )
 
@@ -156,13 +158,45 @@ class TestRawHamiltonian:
         assert h.matrix[idx(0, 0, 1), idx(0, 0, 1)] == pytest.approx(-0.5 * p.omega_q)
 
 
+def algebra_dimensionless_hamiltonian(space, k, delta, include_quadratic=True, j_override=None):
+    """The dimensionless Hamiltonian composed term by term from full-space
+    ``QOperator`` products, as its docstring writes it: the reference that the
+    tensor-factor builder must reproduce bit for bit."""
+    j_hop = 0.5 * delta if j_override is None else j_override
+    sz = pauli(space, "z")
+    sx = pauli(space, "x")
+    a1 = annihilation(space, 0)
+    a2 = annihilation(space, 1)
+    x1 = a1 + a1.dag()
+    x2 = a2 + a2.dag()
+    h = number_operator(space, 0) + number_operator(space, 1) + 0.5 * sz
+    h = h + j_hop * (a1.dag() @ a2 + a2.dag() @ a1)
+    drive = x1 + 0.5 * delta * x2
+    if include_quadratic:
+        drive = drive + (x1 @ x1) + 0.5 * delta * (x2 @ x2)
+    return h + math.sqrt(2.0) * k * (drive @ sx)
+
+
 class TestDimensionlessHamiltonian:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 5), (5, 2), (4, 4), (10, 10), (12, 3)])
+    def test_tensor_factors_match_operator_algebra_bitwise(self, dims):
+        space = SpaceSpec(dims, 1)
+        for k in (0.0, 0.1, 1.0 / SQRT2, -0.37):
+            for delta in (0.0, 1.0, -0.77, 0.35):
+                for include_quadratic in (True, False):
+                    for j_override in (None, 0.3, -1.2):
+                        args = (space, k, delta, include_quadratic, j_override)
+                        oracle = algebra_dimensionless_hamiltonian(*args).matrix
+                        real = model._dimensionless_matrix(*args)
+                        assert real.dtype == np.float64 and not np.any(oracle.imag)
+                        assert real.tobytes() == oracle.real.tobytes()
+                        wrapped = build_dimensionless_hamiltonian(*args).matrix
+                        assert wrapped.tobytes() == oracle.tobytes()
+
     def test_free_limit(self):
         h = build_dimensionless_hamiltonian(SPACE, 0.0, 0.0)
         n1 = number_operator(SPACE, 0)
         n2 = number_operator(SPACE, 1)
-        from jtcqed import pauli
-
         expected = n1.matrix + n2.matrix + 0.5 * pauli(SPACE, "z").matrix
         assert np.allclose(h.matrix, expected)
 
@@ -189,8 +223,6 @@ class TestDimensionlessHamiltonian:
         space = SpaceSpec((3, 3), 1)
         full = build_dimensionless_hamiltonian(space, 0.3, 0.4)
         linear = build_dimensionless_hamiltonian(space, 0.3, 0.4, include_quadratic=False)
-        from jtcqed import pauli
-
         a1 = annihilation(space, 0)
         a2 = annihilation(space, 1)
         x1 = (a1 + a1.dag()).matrix
